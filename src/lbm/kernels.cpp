@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "lbm/kernels_tile.hpp"
 #include "lbm/mrt.hpp"
 
 namespace slipflow::lbm {
@@ -122,39 +123,8 @@ void stream(Slab& slab) {
 }
 
 void compute_density(Slab& slab) {
-  compute_density_planes(slab, 1, slab.nx_local() + 1);
-}
-
-void compute_density_planes(Slab& slab, index_t plane_begin,
-                            index_t plane_end) {
-  SLIPFLOW_REQUIRE(plane_begin >= 1 && plane_end <= slab.nx_local() + 1 &&
-                   plane_begin <= plane_end);
-  const Extents& st = slab.storage();
-  const index_t first = plane_begin * st.plane_cells();
-  const index_t count = (plane_end - plane_begin) * st.plane_cells();
-  const KernelBackend bk = active_kernel_backend();
-  if (bk != KernelBackend::scalar) {
-    // Pure additions in the same order — bit-identical to the loop below
-    // under any flags, just wider.
-    compute_density_cells(slab, bk, first, count);
-    return;
-  }
-  for (std::size_t c = 0; c < slab.num_components(); ++c) {
-    const DistField& f = slab.f(c);
-    ScalarField& n = slab.density(c);
-    std::span<double> nd = n.data().subspan(static_cast<std::size_t>(first),
-                                            static_cast<std::size_t>(count));
-    std::span<const double> f0 =
-        f.dir(0).subspan(static_cast<std::size_t>(first),
-                         static_cast<std::size_t>(count));
-    for (index_t i = 0; i < count; ++i) nd[i] = f0[i];
-    for (int d = 1; d < kQ; ++d) {
-      std::span<const double> fd =
-          f.dir(d).subspan(static_cast<std::size_t>(first),
-                           static_cast<std::size_t>(count));
-      for (index_t i = 0; i < count; ++i) nd[i] += fd[i];
-    }
-  }
+  compute_density_planes(slab, active_kernel_backend(), 1,
+                         slab.nx_local() + 1);
 }
 
 void compute_forces_and_velocity(Slab& slab) {

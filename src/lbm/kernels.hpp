@@ -14,6 +14,10 @@
 /// phase, exactly as the velocity computed on line 17 of the paper's
 /// pseudo-code is used by the collision on line 4 of the next iteration.
 
+#include <array>
+#include <utility>
+#include <vector>
+
 #include "lbm/simd.hpp"
 #include "lbm/slab.hpp"
 
@@ -56,6 +60,9 @@ double owned_mass(const Slab& slab, std::size_t component);
 // The same phase, restructured around the slab's StreamingPlan so the hot
 // loops are branch-free. The plan path produces bit-identical populations
 // to the legacy kernels above (tests/test_plan_kernels.cpp pins this).
+// Whenever active_kernel_backend() != scalar (simd.hpp) the interior
+// cells run as vector-width tiles (Slab::tiles()) on that backend;
+// boundary cells, halo pulls and MRT components keep the per-cell path.
 
 /// Collide only the two boundary-adjacent owned planes into f_post — the
 /// minimum the f-halo exchange needs before fused_collide_stream re-does
@@ -77,91 +84,64 @@ void fused_collide_stream(Slab& slab);
 /// periodic / obstacle masks come from the plan's neighbor tables.
 void compute_forces_and_velocity_plan(Slab& slab);
 
-// --- split plan kernels (kernels_plan.cpp) -----------------------------
-// The overlap runner executes the plan kernels in pieces: the
-// halo-independent bulk while the exchange is in flight (possibly sliced
-// further across pool threads), the halo-dependent remainder after
-// wait(). Each f_post slot / density cell / force cell is still written
-// exactly once per phase by exactly one piece, so any partition —
-// including a threaded one — is bit-identical to the fused calls above.
+// --- the phase in pieces (kernels_plan.cpp) ---------------------------
 
-/// Collide+stream the slices [run_begin, run_end) of
-/// plan.stream_interior() and [cell_begin, cell_end) of
-/// plan.stream_boundary(). Reads only owned f/n/ueq; writes only the
-/// f_post slots those cells' pushes and links own, so disjoint slices
-/// may run concurrently. No halo data is touched: every stream cell
-/// (boundary ones included) is halo-independent — the exchanged planes
-/// enter only through fused_collide_stream_finish's pulls.
-void fused_collide_stream_range(Slab& slab, std::size_t run_begin,
-                                std::size_t run_end, std::size_t cell_begin,
-                                std::size_t cell_end);
+/// One phase's plan kernels cut into the pieces a scheduler interleaves
+/// with the two halo exchanges. The parallel runner runs them around its
+/// posts and waits; the whole-slab wrappers above are the same pieces
+/// run back to back on one lane, so each pass's tile-vs-run choice is
+/// made here once. bind() ties the object to a slab and a kernel backend
+/// for one phase and picks the interior work unit: tiles on a SIMD
+/// backend, plan runs on scalar. Lanes slice those units, so a slice
+/// never splits a tile and every cell takes the same code path for any
+/// rank x lane partition. Each f_post slot, density and force cell is
+/// written by exactly one piece, so any partition, threaded included, is
+/// bit-identical to the wrappers. A (lane, lanes) piece does the lane's
+/// util::ThreadPool::slice share; distinct lanes may run concurrently.
+///
+/// Order within a phase, after collide_boundary_planes:
+///   stream(lane)    any time: reads owned f/n/ueq only
+///   finish_stream   once the f halo landed
+///   edge_density    planes 1 and nx_local (the density-halo payload)
+///   density(lane)   the inner planes [2, nx_local)
+///   owned_psi       once every owned density exists
+///   force(lane)     the inner planes, whose psi gathers stay owned
+///   finish_force    once the density halo landed: the edge planes
+class PhaseKernels {
+ public:
+  /// Bind to `slab` for one phase. Builds its plan and, on a tile
+  /// backend, its tile layout on the calling thread, so the pieces may
+  /// then run on pool lanes.
+  void bind(Slab& slab, KernelBackend backend = active_kernel_backend());
 
-/// Complete streaming once the f-halo landed: copy the plan's halo pulls,
-/// swap f_post into f and pin solid cells. fused_collide_stream ==
-/// full-range fused_collide_stream_range + this.
-void fused_collide_stream_finish(Slab& slab);
+  /// Fused collide+stream of the lane's share of every stream cell (no
+  /// halo data is touched). Returns the number of cells it updated.
+  index_t stream(int lane, int lanes);
+  /// Copy the plan's halo pulls, swap f_post into f and pin solid cells.
+  void finish_stream();
+  void edge_density();
+  void density(int lane, int lanes);
+  /// psi of the owned planes; for the paper's psi = n it aliases the
+  /// densities, for the exponential form it caches 1 - exp(-n).
+  void owned_psi();
+  /// Force/velocity of the lane's share of the inner-plane cells.
+  void force(int lane, int lanes);
+  /// psi of the halo planes, then force/velocity of planes 1, nx_local.
+  void finish_force();
 
-/// Density of the owned planes [plane_begin, plane_end) (1-based local
-/// plane numbers, end exclusive), element-for-element the same update as
-/// compute_density — which equals planes [1, nx_local+1).
-void compute_density_planes(Slab& slab, index_t plane_begin,
-                            index_t plane_end);
+ private:
+  bool tiled() const { return backend_ != KernelBackend::scalar; }
+  /// [begin, end) of the force units (tiles or runs) of the inner planes.
+  std::pair<std::size_t, std::size_t> inner_force_units() const;
+  /// Force/velocity of force units [ub, ue) and boundary cells [cb, ce).
+  void force_units(std::size_t ub, std::size_t ue, std::size_t cb,
+                   std::size_t ce);
+  void psi_cells(index_t cell_begin, index_t cell_end);
 
-/// Per-component psi pointers for the ranged force kernel. For the
-/// paper's psi = n they alias the density storage; for the exponential
-/// form `scratch` caches 1 - exp(-n) per storage cell.
-struct ForcePsiCache {
-  std::array<const double*, 8> psi{};
-  std::vector<std::vector<double>> scratch;
+  Slab* slab_ = nullptr;
+  KernelBackend backend_ = KernelBackend::scalar;
+  std::array<const double*, 8> psi_{};
+  std::vector<std::vector<double>> psi_scratch_;
 };
-
-/// Bind `cache` to the slab and (for the exponential form) fill scratch
-/// for storage cells [cell_begin, cell_end). Call with reset = true once
-/// per phase to (re)size for the current slab — then the owned range as
-/// soon as densities exist, and the two halo planes (reset = false)
-/// after the density halo was inserted.
-void force_psi_prepare(Slab& slab, ForcePsiCache& cache, index_t cell_begin,
-                       index_t cell_end, bool reset);
-
-/// Force/velocity for the slices [run_begin, run_end) of
-/// plan.force_interior() and [cell_begin, cell_end) of
-/// plan.force_boundary(). Each cell writes only its own ueq / total
-/// density / velocity entries, so disjoint slices may run concurrently.
-/// The caller guarantees every psi value the slice gathers is ready
-/// (inner-plane slices need owned psi only; edge-plane slices need the
-/// halo planes too — see StreamingPlan::force_*_inner_*).
-void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
-                               std::size_t run_begin, std::size_t run_end,
-                               std::size_t cell_begin, std::size_t cell_end);
-
-// --- tile/SIMD kernel path (kernels_tile*.cpp) -------------------------
-// The plan's interior runs re-chopped into vector-width tiles
-// (Slab::tiles()) and swept by unit-stride vector kernels; which ISA
-// executes is picked by KernelBackend (simd.hpp). The dispatching
-// wrappers above (fused_collide_stream, compute_density_planes,
-// compute_forces_and_velocity_plan) route interior work here whenever
-// active_kernel_backend() != scalar; boundary cells, halo pulls and MRT
-// components always take the per-cell plan path, so the tile ranges
-// below cover interior tiles only.
-
-/// Collide+stream the tiles [tile_begin, tile_end) of
-/// slab.tiles().stream_tiles(). Same write set as the corresponding
-/// interior runs of fused_collide_stream_range — disjoint tile slices
-/// may run concurrently. Requires backend != scalar (and supported).
-void fused_collide_stream_tiles(Slab& slab, KernelBackend backend,
-                                std::size_t tile_begin, std::size_t tile_end);
-
-/// Force/velocity for the tiles [tile_begin, tile_end) of
-/// slab.tiles().force_tiles(); the tile analogue of the interior-run part
-/// of compute_forces_plan_range, with the same psi-readiness contract
-/// (use TileLayout::force_inner_* to stay off the halo planes).
-void compute_forces_tiles(Slab& slab, const ForcePsiCache& cache,
-                          KernelBackend backend, std::size_t tile_begin,
-                          std::size_t tile_end);
-
-/// Density of storage cells [first, first + count) on a tile backend —
-/// bit-identical to the scalar kernel (pure additions, same order).
-void compute_density_cells(Slab& slab, KernelBackend backend, index_t first,
-                           index_t count);
 
 }  // namespace slipflow::lbm

@@ -6,12 +6,15 @@
 /// boundary classification, which changes with the decomposition) produce
 /// bit-identical populations.
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "lbm/kernels.hpp"
+#include "lbm/kernels_tile.hpp"
 #include "lbm/mrt.hpp"
 #include "lbm/plan.hpp"
+#include "util/thread_pool.hpp"
 
 namespace slipflow::lbm {
 
@@ -68,6 +71,15 @@ void collide_boundary_planes(Slab& slab) {
   }
 }
 
+namespace {
+
+/// Collide+stream the slices [run_begin, run_end) of
+/// plan.stream_interior() and [cell_begin, cell_end) of
+/// plan.stream_boundary(). Reads only owned f/n/ueq; writes only the
+/// f_post slots those cells' pushes and links own. No halo data is
+/// touched: every stream cell (boundary ones included) is
+/// halo-independent — the exchanged planes enter only through the halo
+/// pulls of PhaseKernels::finish_stream.
 void fused_collide_stream_range(Slab& slab, std::size_t run_begin,
                                 std::size_t run_end, std::size_t cell_begin,
                                 std::size_t cell_end) {
@@ -133,71 +145,13 @@ void fused_collide_stream_range(Slab& slab, std::size_t run_begin,
   }
 }
 
-void fused_collide_stream_finish(Slab& slab) {
-  const StreamingPlan& plan = slab.plan();
-  for (std::size_t c = 0; c < slab.num_components(); ++c) {
-    // Populations arriving from the x-neighbors: plain copies out of the
-    // exchanged halo planes (disjoint from every slot the pushes wrote).
-    DistField& fp = slab.f_post(c);
-    for (const HaloPull& h : plan.halo_pulls())
-      fp.at(h.dir, h.dest) = fp.at(h.dir, h.src);
-  }
-
-  // The post-streaming state was assembled in f_post; swap it into f and
-  // pin solid cells to zero exactly as the legacy stream() does.
-  for (std::size_t c = 0; c < slab.num_components(); ++c) {
-    slab.f(c).swap(slab.f_post(c));
-    DistField& f = slab.f(c);
-    for (index_t cell : plan.solids())
-      for (int d = 0; d < kQ; ++d) f.at(d, cell) = 0.0;
-  }
-}
-
-void fused_collide_stream(Slab& slab) {
-  const StreamingPlan& plan = slab.plan();
-  const KernelBackend bk = active_kernel_backend();
-  if (bk != KernelBackend::scalar) {
-    // Tile path: interior cells through the SIMD backend, boundary cells
-    // through the link tables as ever (run range empty).
-    fused_collide_stream_tiles(slab, bk, 0, slab.tiles().stream_tiles().size());
-    fused_collide_stream_range(slab, 0, 0, 0, plan.stream_boundary().size());
-  } else {
-    fused_collide_stream_range(slab, 0, plan.stream_interior().size(), 0,
-                               plan.stream_boundary().size());
-  }
-  fused_collide_stream_finish(slab);
-}
-
-void force_psi_prepare(Slab& slab, ForcePsiCache& cache, index_t cell_begin,
-                       index_t cell_end, bool reset) {
-  const std::size_t nc = slab.num_components();
-  SLIPFLOW_REQUIRE(nc <= 8);
-  // psi cache: for the paper's psi = n the density storage *is* the
-  // cache; for the exponential form evaluate 1 - exp(-n) once per cell
-  // per step instead of once per neighbor read (the legacy kernel pays
-  // up to 18 exp calls per cell).
-  if (slab.params().psi_form != PsiForm::shan_chen) {
-    if (reset)
-      for (std::size_t c = 0; c < nc; ++c)
-        cache.psi[c] = slab.density(c).data().data();
-    return;
-  }
-  if (reset) cache.scratch.resize(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    std::span<const double> n = slab.density(c).data();
-    auto& s = cache.scratch[c];
-    if (reset) {
-      s.resize(n.size());
-      cache.psi[c] = s.data();
-    }
-    for (index_t i = cell_begin; i < cell_end; ++i) {
-      const auto u = static_cast<std::size_t>(i);
-      s[u] = 1.0 - std::exp(-n[u]);
-    }
-  }
-}
-
-void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
+/// Force/velocity for the slices [run_begin, run_end) of
+/// plan.force_interior() and [cell_begin, cell_end) of
+/// plan.force_boundary(). Each cell writes only its own ueq / total
+/// density / velocity entries. The caller guarantees every psi value the
+/// slice gathers is ready (inner-plane slices need owned psi only;
+/// edge-plane slices need the halo planes too).
+void compute_forces_plan_range(Slab& slab, const PsiPointers& psi,
                                std::size_t run_begin, std::size_t run_end,
                                std::size_t cell_begin, std::size_t cell_end) {
   const StreamingPlan& plan = slab.plan();
@@ -206,7 +160,6 @@ void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
   SLIPFLOW_REQUIRE(nc <= 8);
   const index_t nz = slab.storage().nz;
   const bool patterned = static_cast<bool>(prm.wall_pattern);
-  const std::array<const double*, 8>& psi = cache.psi;
 
   index_t off[kQ];
   for (int d = 0; d < kQ; ++d) off[d] = plan.dir_offset(d);
@@ -325,19 +278,156 @@ void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
   }
 }
 
-void compute_forces_and_velocity_plan(Slab& slab) {
-  const StreamingPlan& plan = slab.plan();
-  static thread_local ForcePsiCache cache;
-  force_psi_prepare(slab, cache, 0, slab.storage().cells(), /*reset=*/true);
-  const KernelBackend bk = active_kernel_backend();
-  if (bk != KernelBackend::scalar) {
-    compute_forces_tiles(slab, cache, bk, 0, slab.tiles().force_tiles().size());
-    compute_forces_plan_range(slab, cache, 0, 0, 0,
-                              plan.force_boundary().size());
+}  // namespace
+
+void PhaseKernels::bind(Slab& slab, KernelBackend backend) {
+  slab_ = &slab;
+  backend_ = backend;
+  (void)slab.plan();
+  if (tiled()) (void)slab.tiles();
+}
+
+index_t PhaseKernels::stream(int lane, int lanes) {
+  const StreamingPlan& plan = slab_->plan();
+  const auto [cb, ce] =
+      util::ThreadPool::slice(plan.stream_boundary().size(), lane, lanes);
+  index_t cells = static_cast<index_t>(ce - cb);
+  if (tiled()) {
+    // Interior cells through the SIMD backend, boundary cells through the
+    // link tables as ever (run range empty).
+    const std::vector<Tile>& tiles = slab_->tiles().stream_tiles();
+    const auto [tb, te] = util::ThreadPool::slice(tiles.size(), lane, lanes);
+    fused_collide_stream_tiles(*slab_, backend_, tb, te);
+    fused_collide_stream_range(*slab_, 0, 0, cb, ce);
+    for (std::size_t t = tb; t < te; ++t) cells += tiles[t].count;
   } else {
-    compute_forces_plan_range(slab, cache, 0, plan.force_interior().size(), 0,
-                              plan.force_boundary().size());
+    const std::vector<InteriorRun>& runs = plan.stream_interior();
+    const auto [rb, re] = util::ThreadPool::slice(runs.size(), lane, lanes);
+    fused_collide_stream_range(*slab_, rb, re, cb, ce);
+    for (std::size_t r = rb; r < re; ++r) cells += runs[r].count;
   }
+  return cells;
+}
+
+void PhaseKernels::finish_stream() {
+  Slab& slab = *slab_;
+  const StreamingPlan& plan = slab.plan();
+  for (std::size_t c = 0; c < slab.num_components(); ++c) {
+    // Populations arriving from the x-neighbors: plain copies out of the
+    // exchanged halo planes (disjoint from every slot the pushes wrote).
+    DistField& fp = slab.f_post(c);
+    for (const HaloPull& h : plan.halo_pulls())
+      fp.at(h.dir, h.dest) = fp.at(h.dir, h.src);
+  }
+
+  // The post-streaming state was assembled in f_post; swap it into f and
+  // pin solid cells to zero exactly as the legacy stream() does.
+  for (std::size_t c = 0; c < slab.num_components(); ++c) {
+    slab.f(c).swap(slab.f_post(c));
+    DistField& f = slab.f(c);
+    for (index_t cell : plan.solids())
+      for (int d = 0; d < kQ; ++d) f.at(d, cell) = 0.0;
+  }
+}
+
+void PhaseKernels::edge_density() {
+  const index_t nxl = slab_->nx_local();
+  compute_density_planes(*slab_, backend_, 1, 2);
+  if (nxl > 1) compute_density_planes(*slab_, backend_, nxl, nxl + 1);
+}
+
+void PhaseKernels::density(int lane, int lanes) {
+  const auto inner = static_cast<std::size_t>(
+      std::max<index_t>(slab_->nx_local() - 2, 0));
+  const auto [pb, pe] = util::ThreadPool::slice(inner, lane, lanes);
+  if (pb < pe)
+    compute_density_planes(*slab_, backend_, 2 + static_cast<index_t>(pb),
+                           2 + static_cast<index_t>(pe));
+}
+
+void PhaseKernels::owned_psi() {
+  const std::size_t nc = slab_->num_components();
+  SLIPFLOW_REQUIRE(nc <= psi_.size());
+  // For the paper's psi = n the density storage *is* the cache; for the
+  // exponential form evaluate 1 - exp(-n) once per cell per step instead
+  // of once per neighbor read (the legacy kernel pays up to 18 exp calls
+  // per cell).
+  const bool cached = slab_->params().psi_form == PsiForm::shan_chen;
+  psi_scratch_.resize(cached ? nc : 0);
+  for (std::size_t c = 0; c < nc; ++c) {
+    std::span<const double> n = slab_->density(c).data();
+    if (cached) psi_scratch_[c].resize(n.size());
+    psi_[c] = cached ? psi_scratch_[c].data() : n.data();
+  }
+  const index_t pc = slab_->storage().plane_cells();
+  psi_cells(pc, (slab_->nx_local() + 1) * pc);
+}
+
+void PhaseKernels::psi_cells(index_t cell_begin, index_t cell_end) {
+  for (std::size_t c = 0; c < psi_scratch_.size(); ++c) {
+    std::span<const double> n = slab_->density(c).data();
+    for (index_t i = cell_begin; i < cell_end; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      psi_scratch_[c][u] = 1.0 - std::exp(-n[u]);
+    }
+  }
+}
+
+std::pair<std::size_t, std::size_t> PhaseKernels::inner_force_units() const {
+  if (tiled())
+    return {slab_->tiles().force_inner_begin(),
+            slab_->tiles().force_inner_end()};
+  const StreamingPlan& plan = slab_->plan();
+  return {plan.force_interior_inner_begin(), plan.force_interior_inner_end()};
+}
+
+void PhaseKernels::force_units(std::size_t ub, std::size_t ue,
+                               std::size_t cb, std::size_t ce) {
+  if (tiled()) {
+    compute_forces_tiles(*slab_, psi_, backend_, ub, ue);
+    compute_forces_plan_range(*slab_, psi_, 0, 0, cb, ce);
+  } else {
+    compute_forces_plan_range(*slab_, psi_, ub, ue, cb, ce);
+  }
+}
+
+void PhaseKernels::force(int lane, int lanes) {
+  const StreamingPlan& plan = slab_->plan();
+  const auto [ib, ie] = inner_force_units();
+  const std::size_t bb = plan.force_boundary_inner_begin();
+  const auto [ub, ue] = util::ThreadPool::slice(ie - ib, lane, lanes);
+  const auto [cb, ce] = util::ThreadPool::slice(
+      plan.force_boundary_inner_end() - bb, lane, lanes);
+  force_units(ib + ub, ib + ue, bb + cb, bb + ce);
+}
+
+void PhaseKernels::finish_force() {
+  const StreamingPlan& plan = slab_->plan();
+  const index_t nxl = slab_->nx_local();
+  const index_t pc = slab_->storage().plane_cells();
+  psi_cells(0, pc);
+  psi_cells((nxl + 1) * pc, (nxl + 2) * pc);
+  const auto [ib, ie] = inner_force_units();
+  const std::size_t units = tiled() ? slab_->tiles().force_tiles().size()
+                                    : plan.force_interior().size();
+  force_units(0, ib, 0, plan.force_boundary_inner_begin());
+  force_units(ie, units, plan.force_boundary_inner_end(),
+              plan.force_boundary().size());
+}
+
+void fused_collide_stream(Slab& slab) {
+  PhaseKernels k;
+  k.bind(slab);
+  k.stream(0, 1);
+  k.finish_stream();
+}
+
+void compute_forces_and_velocity_plan(Slab& slab) {
+  static thread_local PhaseKernels k;  // keeps the psi scratch allocated
+  k.bind(slab);
+  k.owned_psi();
+  k.force(0, 1);
+  k.finish_force();
 }
 
 }  // namespace slipflow::lbm

@@ -4,7 +4,8 @@
 /// to the backend picked by KernelBackend. Also hosts the pieces that
 /// stay scalar inside the tile path — MRT components (the moment-space
 /// collision is not worth vectorizing at D3Q19 sizes) sweep the same
-/// tiles cell by cell so coverage is identical either way.
+/// tiles cell by cell so coverage is identical either way — and the
+/// density pass, whose scalar loop is the one backend-free branch.
 
 #include "lbm/kernels.hpp"
 #include "lbm/kernels_tile.hpp"
@@ -100,7 +101,7 @@ void fused_collide_stream_tiles(Slab& slab, KernelBackend backend,
   }
 }
 
-void compute_forces_tiles(Slab& slab, const ForcePsiCache& cache,
+void compute_forces_tiles(Slab& slab, const PsiPointers& psi,
                           KernelBackend backend, std::size_t tile_begin,
                           std::size_t tile_end) {
   const tilek::Backend* k = tile_backend(backend);
@@ -120,7 +121,7 @@ void compute_forces_tiles(Slab& slab, const ForcePsiCache& cache,
   ctx.nz = slab.storage().nz;
   for (std::size_t c = 0; c < nc; ++c) {
     const ComponentParams& cp = prm.components[c];
-    ctx.psi[c] = cache.psi[c];
+    ctx.psi[c] = psi[c];
     ctx.n[c] = slab.density(c).data().data();
     for (int d = 0; d < kQ; ++d) ctx.f[c][d] = slab.f(c).dir(d).data();
     ctx.ueq_x[c] = slab.ueq(c).x().data().data();
@@ -145,16 +146,37 @@ void compute_forces_tiles(Slab& slab, const ForcePsiCache& cache,
   k->forces(ctx, tile_begin, tile_end);
 }
 
-void compute_density_cells(Slab& slab, KernelBackend backend, index_t first,
-                           index_t count) {
-  const tilek::Backend* k = tile_backend(backend);
-  SLIPFLOW_REQUIRE_MSG(k != nullptr,
-                       "compute_density_cells needs a tile backend");
+void compute_density_planes(Slab& slab, KernelBackend backend,
+                            index_t plane_begin, index_t plane_end) {
+  SLIPFLOW_REQUIRE(plane_begin >= 1 && plane_end <= slab.nx_local() + 1 &&
+                   plane_begin <= plane_end);
+  const Extents& st = slab.storage();
+  const index_t first = plane_begin * st.plane_cells();
+  const index_t count = (plane_end - plane_begin) * st.plane_cells();
+  if (const tilek::Backend* k = tile_backend(backend)) {
+    for (std::size_t c = 0; c < slab.num_components(); ++c) {
+      tilek::DensityCtx ctx{};
+      for (int d = 0; d < kQ; ++d) ctx.f[d] = slab.f(c).dir(d).data();
+      ctx.n = slab.density(c).data().data();
+      k->density(ctx, first, count);
+    }
+    return;
+  }
   for (std::size_t c = 0; c < slab.num_components(); ++c) {
-    tilek::DensityCtx ctx{};
-    for (int d = 0; d < kQ; ++d) ctx.f[d] = slab.f(c).dir(d).data();
-    ctx.n = slab.density(c).data().data();
-    k->density(ctx, first, count);
+    const DistField& f = slab.f(c);
+    ScalarField& n = slab.density(c);
+    std::span<double> nd = n.data().subspan(static_cast<std::size_t>(first),
+                                            static_cast<std::size_t>(count));
+    std::span<const double> f0 =
+        f.dir(0).subspan(static_cast<std::size_t>(first),
+                         static_cast<std::size_t>(count));
+    for (index_t i = 0; i < count; ++i) nd[i] = f0[i];
+    for (int d = 1; d < kQ; ++d) {
+      std::span<const double> fd =
+          f.dir(d).subspan(static_cast<std::size_t>(first),
+                           static_cast<std::size_t>(count));
+      for (index_t i = 0; i < count; ++i) nd[i] += fd[i];
+    }
   }
 }
 

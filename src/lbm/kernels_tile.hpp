@@ -2,7 +2,8 @@
 /// \file kernels_tile.hpp
 /// Internal ABI between the tile-kernel dispatcher (kernels_tile.cpp)
 /// and the per-ISA translation units (kernels_tile_{autovec,avx2,
-/// avx512}.cpp).
+/// avx512}.cpp), plus the dispatcher entry points the portable kernel
+/// TUs share (declarations only, at the end).
 ///
 /// The per-ISA TUs are compiled with their own -m flags, so they must
 /// not instantiate code shared with the portable TUs: an inline function
@@ -12,6 +13,7 @@
 /// the dispatcher) plus the tiny headers of constants it needs — the
 /// per-ISA TUs include nothing else of the project.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -91,3 +93,34 @@ const Backend* tile_backend_avx2();    ///< nullptr when not compiled in
 const Backend* tile_backend_avx512();  ///< nullptr when not compiled in
 
 }  // namespace slipflow::lbm::tilek
+
+namespace slipflow::lbm {
+
+class Slab;
+
+/// Per-component psi arrays of the force pass (PhaseKernels' cache).
+using PsiPointers = std::array<const double*, tilek::kMaxComp>;
+
+// Portable-side dispatch, called only by the portable TUs (kernels.cpp,
+// kernels_plan.cpp). The tile ranges cover interior tiles only; disjoint
+// ranges write disjoint cells and may run concurrently. Each requires
+// backend != scalar (and compiled in).
+
+/// Collide+stream of tiles [tile_begin, tile_end) of
+/// slab.tiles().stream_tiles().
+void fused_collide_stream_tiles(Slab& slab, KernelBackend backend,
+                                std::size_t tile_begin, std::size_t tile_end);
+
+/// Force/velocity of tiles [tile_begin, tile_end) of
+/// slab.tiles().force_tiles(); every psi value they gather must be ready.
+void compute_forces_tiles(Slab& slab, const PsiPointers& psi,
+                          KernelBackend backend, std::size_t tile_begin,
+                          std::size_t tile_end);
+
+/// Density of the owned planes [plane_begin, plane_end) (1-based local
+/// plane numbers, end exclusive) on any backend, scalar included: pure
+/// additions in the same order, so bit-identical on every backend.
+void compute_density_planes(Slab& slab, KernelBackend backend,
+                            index_t plane_begin, index_t plane_end);
+
+}  // namespace slipflow::lbm

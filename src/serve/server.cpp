@@ -177,6 +177,20 @@ void CampaignServer::append_event(JobRecord& rec, std::string event_json_line) {
   cv_.notify_all();
 }
 
+void CampaignServer::reap_finished_locked() {
+  // A listed thread announced itself under mu_ as its last act, so the
+  // join below waits at most for its return — never for mu_.
+  for (std::vector<std::thread>* threads : {&job_threads_, &conn_threads_})
+    std::erase_if(*threads, [&](std::thread& t) {
+      if (std::find(finished_threads_.begin(), finished_threads_.end(),
+                    t.get_id()) == finished_threads_.end())
+        return false;
+      t.join();
+      return true;
+    });
+  finished_threads_.clear();
+}
+
 long long CampaignServer::submit(const std::string& tenant,
                                  const JobSpec& spec) {
   std::lock_guard lk(mu_);
@@ -290,11 +304,13 @@ void CampaignServer::scheduler_loop() {
                                   {"job", JsonValue(q.id)},
                                   {"ranks", JsonValue(static_cast<long long>(
                                                 q.ranks))}}));
+    reap_finished_locked();
     job_threads_.emplace_back([this, &rec, q] {
       run_job(rec);
       std::lock_guard lk2(mu_);
       free_slots_ += q.ranks;
       tenant_running_slots_[q.tenant] -= q.ranks;
+      finished_threads_.push_back(std::this_thread::get_id());
       cv_.notify_all();
     });
   }
@@ -493,6 +509,7 @@ void CampaignServer::accept_loop() {
     if (!c.valid()) return;
     std::lock_guard lk(mu_);
     if (stopping_) return;
+    reap_finished_locked();
     conn_threads_.emplace_back(&CampaignServer::handle_connection, this,
                                std::move(c));
   }
@@ -572,6 +589,7 @@ void CampaignServer::handle_connection(Fd fd) {
     }
     std::lock_guard lk(mu_);
     conn_fds_.erase(raw);
+    finished_threads_.push_back(std::this_thread::get_id());
   }
 }
 

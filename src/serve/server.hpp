@@ -148,6 +148,10 @@ class CampaignServer {
   void run_job(JobRecord& rec);
   /// Caller holds mu_.
   void append_event(JobRecord& rec, std::string event_json_line);
+  /// Caller holds mu_. Joins the job/connection threads listed in
+  /// finished_threads_, so a long-lived daemon keeps no dead thread (and
+  /// its stack) per served job or connection.
+  void reap_finished_locked();
   util::JsonValue record_json_locked(const JobRecord& rec) const;
 
   Config cfg_;
@@ -171,6 +175,8 @@ class CampaignServer {
   std::thread scheduler_thread_;
   std::vector<std::thread> job_threads_;
   std::vector<std::thread> conn_threads_;
+  /// Job/connection threads past their last use of mu_, awaiting a join.
+  std::vector<std::thread::id> finished_threads_;
   /// Open connection fds, shut down on stop() so blocked reads unblock.
   std::set<int> conn_fds_;
 };

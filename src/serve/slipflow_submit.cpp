@@ -14,9 +14,13 @@
 /// this machine — same argv builder as the server, so its observables
 /// are the byte-identity reference for served results.
 ///
+/// --out-dir is created (with its parents) before the first job runs.
+///
 /// Exit code: 0 when every job finished "done", 1 otherwise, 2 on bad
-/// flags or an unreadable/invalid spec.
+/// flags, an unreadable/invalid spec or an --out-dir that cannot be
+/// created.
 
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -164,6 +168,13 @@ int main(int argc, char** argv) {
     }
     // Validate everything before submitting anything.
     for (const JsonValue& s : specs) (void)serve::JobSpec::from_json(s);
+    if (!out_dir.empty()) {
+      std::error_code ec;
+      std::filesystem::create_directories(out_dir, ec);
+      if (ec)
+        throw serve::serve_error("cannot create --out-dir=" + out_dir + ": " +
+                                 ec.message());
+    }
 
     if (direct) return run_direct(specs, worker, out_dir);
 

@@ -51,9 +51,10 @@ std::pair<lbm::index_t, lbm::index_t> initial_extent(lbm::index_t planes_total,
 /// nonblocking post half (irecv + extract + isend, staged through two
 /// persistent per-direction buffers — no per-step allocation and no
 /// serialization of the two extractions through one scratch) and a
-/// finish half (wait + insert). The blocking exchange_* overrides are
-/// the composition, so message contents and the per-(src, tag) arrival
-/// order are identical in both step modes and across all backends.
+/// finish half (wait + insert). The blocking exchange_* overrides (used
+/// by prime and refresh_observables) are the composition, so message
+/// contents and the per-(src, tag) arrival order are the same on every
+/// path and across all backends.
 class ParallelLbm::RingExchanger final : public lbm::HaloExchanger {
  public:
   explicit RingExchanger(transport::Communicator& comm) : comm_(comm) {}
@@ -173,11 +174,9 @@ void ParallelLbm::initialize_uniform() {
 }
 
 void ParallelLbm::ensure_plan() {
-  if (cfg_.kernels != lbm::KernelPath::plan || slab_->has_plan()) return;
+  if (slab_->has_plan()) return;
   const double t0 = prof_->now();
-  slab_->plan();
-  if (lbm::active_kernel_backend() != lbm::KernelBackend::scalar)
-    slab_->tiles();  // rebuilt with the plan so the rebuild span covers it
+  kernels_.bind(*slab_);  // builds the plan, and the tiles a backend needs
   prof_->record_span("plan", t0, prof_->now());
 }
 
@@ -188,18 +187,14 @@ void ParallelLbm::run(int phases) {
   // predictor come from the same (possibly deterministic) source the
   // trace records.
   ensure_plan();
-  const bool overlap = overlap_mode();
-  if (overlap && pool_ == nullptr) {
+  if (pool_ == nullptr) {
     pool_ = std::make_unique<util::ThreadPool>(cfg_.threads);
     thread_cells_.assign(static_cast<std::size_t>(cfg_.threads), 0.0);
   }
   for (int p = 1; p <= phases; ++p) {
     prof_->begin_phase(++phases_done_);
     comm_.note_progress(phases_done_);
-    if (overlap)
-      step_overlap();
-    else
-      step_blocking();
+    step();
 
     // --- lattice point remapping --- (lines 20-32)
     if (cfg_.policy != "none" && p % cfg_.remap_interval == 0) {
@@ -237,21 +232,19 @@ void ParallelLbm::run(int phases) {
   prof_->set("phases_done", static_cast<double>(phases_done_));
   if (stats_.compute_seconds > 0.0)
     prof_->set("mlups", cells_updated_ / stats_.compute_seconds / 1e6);
-  if (overlap) {
-    // The efficiency of the overlap: of the time the phase had to cover
-    // communication, the fraction spent computing (halo waits are the
-    // comm that compute could not hide).
-    const double window = interior_seconds_ + halo_wait_seconds_;
-    if (window > 0.0)
-      prof_->set("overlap_efficiency", interior_seconds_ / window);
-    // Per-lane fold of the threaded sweeps, published from the owning
-    // thread (lanes never touch the registry themselves).
-    for (std::size_t lane = 0; lane < thread_cells_.size(); ++lane) {
-      if (thread_cells_[lane] == 0.0) continue;
-      prof_->add("thread/" + std::to_string(lane) + "/cells_updated",
-                 thread_cells_[lane]);
-      thread_cells_[lane] = 0.0;
-    }
+  // The efficiency of the overlap: of the time the phase had to cover
+  // communication, the fraction spent computing (halo waits are the comm
+  // that compute could not hide). Blocking mode hides nothing.
+  const double window = interior_seconds_ + halo_wait_seconds_;
+  if (window > 0.0)
+    prof_->set("overlap_efficiency", interior_seconds_ / window);
+  // Per-lane fold of the threaded sweeps, published from the owning
+  // thread (lanes never touch the registry themselves).
+  for (std::size_t lane = 0; lane < thread_cells_.size(); ++lane) {
+    if (thread_cells_[lane] == 0.0) continue;
+    prof_->add("thread/" + std::to_string(lane) + "/cells_updated",
+               thread_cells_[lane]);
+    thread_cells_[lane] = 0.0;
   }
 }
 
@@ -268,244 +261,94 @@ void ParallelLbm::finish_phase(double phase_begin, double t, double compute) {
   prof_->observe("phase_seconds", prof_->now() - phase_begin);
   balancer_->record_phase(std::max(compute, 1e-9), slab_->owned_cells());
 
-  const double phase_cells =
-      static_cast<double>(cfg_.kernels == lbm::KernelPath::plan
-                              ? slab_->plan().fluid_cells()
-                              : slab_->owned_cells());
+  const auto phase_cells = static_cast<double>(slab_->plan().fluid_cells());
   cells_updated_ += phase_cells;
   prof_->add("cells_updated", phase_cells);
 }
 
-void ParallelLbm::step_blocking() {
-  const bool plan_path = cfg_.kernels == lbm::KernelPath::plan;
-  const double phase_begin = prof_->now();
-
-  // --- compute: collide --- (Figure 2 line 4; the plan path only
-  // pre-collides the two exchange-facing planes here and folds the rest
-  // of the collision into the fused stream below)
-  if (plan_path)
-    lbm::collide_boundary_planes(*slab_);
-  else
-    lbm::collide(*slab_);
-  double t = prof_->now();
-  prof_->record_span("collide", phase_begin, t);
-  double compute = t - phase_begin;
-
-  // --- communication: f halos --- (line 8)
-  double t0 = t;
-  halo_->exchange_f(*slab_);
-  t = prof_->now();
-  prof_->record_span("halo_f", t0, t);
-  prof_->add("halo_bytes", halo_exchange_bytes(slab_->f_halo_doubles()));
-  stats_.comm_seconds += t - t0;
-  prof_->add("time/comm", t - t0);
-
-  // --- compute: stream + bounce-back + densities --- (lines 5,10,11)
-  t0 = t;
-  if (plan_path)
-    lbm::fused_collide_stream(*slab_);
-  else
-    lbm::stream(*slab_);
-  lbm::compute_density(*slab_);
-  t = prof_->now();
-  prof_->record_span("stream_density", t0, t);
-  compute += t - t0;
-
-  // --- communication: density halos --- (line 14)
-  t0 = t;
-  halo_->exchange_density(*slab_);
-  t = prof_->now();
-  prof_->record_span("halo_density", t0, t);
-  prof_->add("halo_bytes",
-             halo_exchange_bytes(slab_->density_halo_doubles()));
-  stats_.comm_seconds += t - t0;
-  prof_->add("time/comm", t - t0);
-
-  // --- compute: forces + velocity --- (lines 16,17)
-  t0 = t;
-  if (plan_path)
-    lbm::compute_forces_and_velocity_plan(*slab_);
-  else
-    lbm::compute_forces_and_velocity(*slab_);
-  t = prof_->now();
-  prof_->record_span("force_velocity", t0, t);
-  compute += t - t0;
-
-  finish_phase(phase_begin, t, compute);
-}
-
-void ParallelLbm::step_overlap() {
+void ParallelLbm::step() {
   lbm::Slab& slab = *slab_;
-  const lbm::StreamingPlan& plan = slab.plan();
-  // Which kernel backend this step runs, read once so every slice of the
-  // phase agrees. On a tile backend the pool slices *tile* indices, never
-  // raw runs: a slice boundary can then never split a tile, so each cell
-  // takes the same vector-lane-vs-tail code path for any rank x thread
-  // count — the partition-invariance the run slicing had.
-  const lbm::KernelBackend backend = lbm::active_kernel_backend();
-  const bool tile_path = backend != lbm::KernelBackend::scalar;
-  if (tile_path) slab.tiles();  // build on this thread, not under the pool
-  const lbm::index_t nxl = slab.nx_local();
-  const lbm::index_t pc = slab.storage().plane_cells();
+  lbm::PhaseKernels& k = kernels_;
+  k.bind(slab);  // on this thread, before any piece runs on the pool
+  const bool overlap = cfg_.step == StepMode::overlap;
   const double phase_begin = prof_->now();
+  double t = phase_begin;
+  double compute = 0.0, comm = 0.0, interior = 0.0, halo_wait = 0.0;
+  // Runs one stage under its span and adds its duration to `total` and,
+  // if given, to the sub-total `part`.
+  const auto stage = [&](const char* name, double& total, double* part,
+                         const auto& body) {
+    const double t0 = t;
+    body();
+    t = prof_->now();
+    prof_->record_span(name, t0, t);
+    total += t - t0;
+    if (part != nullptr) *part += t - t0;
+  };
+  const auto wait_f = [&] {
+    stage("halo_wait_f", comm, &halo_wait, [&] { halo_->finish_f(slab); });
+  };
+  const auto wait_density = [&] {
+    stage("halo_wait_density", comm, &halo_wait,
+          [&] { halo_->finish_density(slab); });
+  };
 
   // --- collide the exchange-facing planes --- (their post-collision
   // populations are the f-halo payload, so they must exist first)
-  lbm::collide_boundary_planes(slab);
-  double t = prof_->now();
-  prof_->record_span("collide", phase_begin, t);
-  double compute = t - phase_begin;
-  double comm = 0.0, interior = 0.0, halo_wait = 0.0;
+  stage("collide", compute, nullptr,
+        [&] { lbm::collide_boundary_planes(slab); });
 
   // --- post the f halos --- irecvs, then extract + isend both planes
-  double t0 = t;
-  halo_->post_f(slab);
-  t = prof_->now();
-  prof_->record_span("halo_post_f", t0, t);
-  comm += t - t0;
+  stage("halo_post_f", comm, nullptr, [&] { halo_->post_f(slab); });
   prof_->add("halo_bytes", halo_exchange_bytes(slab.f_halo_doubles()));
+  if (!overlap) wait_f();
 
   // --- the collide+stream sweep, threaded, while frames fly --- every
   // stream cell (boundary ones included) reads owned state only and owns
   // a disjoint set of f_post slots; the exchanged planes enter the phase
   // through the finish pulls below, never here.
-  t0 = t;
-  const auto& sruns = plan.stream_interior();
-  const std::size_t nruns = sruns.size();
-  const std::size_t nbound = plan.stream_boundary().size();
-  if (tile_path) {
-    const auto& stiles = slab.tiles().stream_tiles();
-    const std::size_t ntiles = stiles.size();
+  stage("interior_stream", compute, &interior, [&] {
     pool_->run([&](int lane, int lanes) {
-      const auto [tb, te] = util::ThreadPool::slice(ntiles, lane, lanes);
-      const auto [cb, ce] = util::ThreadPool::slice(nbound, lane, lanes);
-      lbm::fused_collide_stream_tiles(slab, backend, tb, te);
-      lbm::fused_collide_stream_range(slab, 0, 0, cb, ce);
-      double cells = static_cast<double>(ce - cb);
-      for (std::size_t ti = tb; ti < te; ++ti)
-        cells += static_cast<double>(stiles[ti].count);
-      thread_cells_[static_cast<std::size_t>(lane)] += cells;
+      thread_cells_[static_cast<std::size_t>(lane)] +=
+          static_cast<double>(k.stream(lane, lanes));
     });
-  } else {
-    pool_->run([&](int lane, int lanes) {
-      const auto [rb, re] = util::ThreadPool::slice(nruns, lane, lanes);
-      const auto [cb, ce] = util::ThreadPool::slice(nbound, lane, lanes);
-      lbm::fused_collide_stream_range(slab, rb, re, cb, ce);
-      double cells = static_cast<double>(ce - cb);
-      for (std::size_t ri = rb; ri < re; ++ri)
-        cells += static_cast<double>(sruns[ri].count);
-      thread_cells_[static_cast<std::size_t>(lane)] += cells;
-    });
-  }
-  t = prof_->now();
-  prof_->record_span("interior_stream", t0, t);
-  compute += t - t0;
-  interior += t - t0;
-
-  // --- wait for the neighbor planes ---
-  t0 = t;
-  halo_->finish_f(slab);
-  t = prof_->now();
-  prof_->record_span("halo_wait_f", t0, t);
-  comm += t - t0;
-  halo_wait += t - t0;
+  });
+  if (overlap) wait_f();
 
   // --- finish streaming (halo pulls, swap, solids) and the densities of
   // the exchange-facing planes — the payload of the second exchange
-  t0 = t;
-  lbm::fused_collide_stream_finish(slab);
-  lbm::compute_density_planes(slab, 1, 2);
-  if (nxl > 1) lbm::compute_density_planes(slab, nxl, nxl + 1);
-  t = prof_->now();
-  prof_->record_span("boundary_stream", t0, t);
-  compute += t - t0;
+  stage("boundary_stream", compute, nullptr, [&] {
+    k.finish_stream();
+    k.edge_density();
+  });
 
   // --- post the density halos ---
-  t0 = t;
-  halo_->post_density(slab);
-  t = prof_->now();
-  prof_->record_span("halo_post_density", t0, t);
-  comm += t - t0;
+  stage("halo_post_density", comm, nullptr,
+        [&] { halo_->post_density(slab); });
   prof_->add("halo_bytes", halo_exchange_bytes(slab.density_halo_doubles()));
+  if (!overlap) wait_density();
 
   // --- inner densities + owned psi + the inner force sweep --- the
   // force cells of planes [2, nx_local-1] gather psi from owned planes
   // only, so the whole chain runs while the density halo is in flight.
-  t0 = t;
-  if (nxl > 2) {
-    const auto inner_planes = static_cast<std::size_t>(nxl - 2);
-    pool_->run([&](int lane, int lanes) {
-      const auto [pb, pe] = util::ThreadPool::slice(inner_planes, lane, lanes);
-      if (pb < pe)
-        lbm::compute_density_planes(slab,
-                                    2 + static_cast<lbm::index_t>(pb),
-                                    2 + static_cast<lbm::index_t>(pe));
-    });
-  }
-  lbm::force_psi_prepare(slab, psi_cache_, pc, (nxl + 1) * pc,
-                         /*reset=*/true);
-  const std::size_t fi_b = plan.force_interior_inner_begin();
-  const std::size_t fi_n = plan.force_interior_inner_end() - fi_b;
-  const std::size_t fb_b = plan.force_boundary_inner_begin();
-  const std::size_t fb_n = plan.force_boundary_inner_end() - fb_b;
-  const std::size_t ft_b = tile_path ? slab.tiles().force_inner_begin() : 0;
-  const std::size_t ft_n =
-      tile_path ? slab.tiles().force_inner_end() - ft_b : 0;
-  pool_->run([&](int lane, int lanes) {
-    const auto [cb, ce] = util::ThreadPool::slice(fb_n, lane, lanes);
-    if (tile_path) {
-      const auto [tb, te] = util::ThreadPool::slice(ft_n, lane, lanes);
-      lbm::compute_forces_tiles(slab, psi_cache_, backend, ft_b + tb,
-                                ft_b + te);
-      lbm::compute_forces_plan_range(slab, psi_cache_, 0, 0, fb_b + cb,
-                                     fb_b + ce);
-    } else {
-      const auto [rb, re] = util::ThreadPool::slice(fi_n, lane, lanes);
-      lbm::compute_forces_plan_range(slab, psi_cache_, fi_b + rb, fi_b + re,
-                                     fb_b + cb, fb_b + ce);
-    }
+  stage("interior_force", compute, &interior, [&] {
+    pool_->run([&](int lane, int lanes) { k.density(lane, lanes); });
+    k.owned_psi();
+    pool_->run([&](int lane, int lanes) { k.force(lane, lanes); });
   });
-  t = prof_->now();
-  prof_->record_span("interior_force", t0, t);
-  compute += t - t0;
-  interior += t - t0;
-
-  // --- wait for the neighbor densities ---
-  t0 = t;
-  halo_->finish_density(slab);
-  t = prof_->now();
-  prof_->record_span("halo_wait_density", t0, t);
-  comm += t - t0;
-  halo_wait += t - t0;
+  if (overlap) wait_density();
 
   // --- halo psi + the edge force planes (1 and nx_local) ---
-  t0 = t;
-  lbm::force_psi_prepare(slab, psi_cache_, 0, pc, /*reset=*/false);
-  lbm::force_psi_prepare(slab, psi_cache_, (nxl + 1) * pc, (nxl + 2) * pc,
-                         /*reset=*/false);
-  if (tile_path) {
-    lbm::compute_forces_tiles(slab, psi_cache_, backend, 0, ft_b);
-    lbm::compute_forces_tiles(slab, psi_cache_, backend, ft_b + ft_n,
-                              slab.tiles().force_tiles().size());
-    lbm::compute_forces_plan_range(slab, psi_cache_, 0, 0, 0, fb_b);
-    lbm::compute_forces_plan_range(slab, psi_cache_, 0, 0, fb_b + fb_n,
-                                   plan.force_boundary().size());
-  } else {
-    lbm::compute_forces_plan_range(slab, psi_cache_, 0, fi_b, 0, fb_b);
-    lbm::compute_forces_plan_range(slab, psi_cache_, fi_b + fi_n,
-                                   plan.force_interior().size(), fb_b + fb_n,
-                                   plan.force_boundary().size());
-  }
-  t = prof_->now();
-  prof_->record_span("boundary_force", t0, t);
-  compute += t - t0;
+  stage("boundary_force", compute, nullptr, [&] { k.finish_force(); });
 
   stats_.comm_seconds += comm;
   prof_->add("time/comm", comm);
-  interior_seconds_ += interior;
-  halo_wait_seconds_ += halo_wait;
-  prof_->add("time/interior", interior);
-  prof_->add("time/halo_wait", halo_wait);
+  if (overlap) {
+    interior_seconds_ += interior;
+    halo_wait_seconds_ += halo_wait;
+    prof_->add("time/interior", interior);
+    prof_->add("time/halo_wait", halo_wait);
+  }
   finish_phase(phase_begin, t, compute);
 }
 
@@ -774,10 +617,7 @@ void ParallelLbm::refresh_observables() {
   // slab the zeroed mixture fields are rebuilt from the migrated state.
   ensure_plan();
   halo_->exchange_density(*slab_);
-  if (cfg_.kernels == lbm::KernelPath::plan)
-    lbm::compute_forces_and_velocity_plan(*slab_);
-  else
-    lbm::compute_forces_and_velocity(*slab_);
+  lbm::compute_forces_and_velocity_plan(*slab_);
 }
 
 std::vector<double> ParallelLbm::gather_velocity_profile_y(lbm::index_t gx,
@@ -796,16 +636,6 @@ std::vector<double> ParallelLbm::gather_density_profile_y(
 
 double ParallelLbm::global_mass(std::size_t component) {
   return comm_.allreduce_sum(lbm::owned_mass(*slab_, component));
-}
-
-std::vector<double> ParallelLbm::global_masses() {
-  // One vector collective instead of num_components() scalar reductions;
-  // the rank-ordered fold keeps each component's sum byte-identical to
-  // the scalar global_mass() result.
-  std::vector<double> mine(slab_->num_components());
-  for (std::size_t c = 0; c < mine.size(); ++c)
-    mine[c] = lbm::owned_mass(*slab_, c);
-  return comm_.allreduce_sum(std::span<const double>(mine));
 }
 
 std::vector<double> ParallelLbm::global_masses_ordered() {

@@ -31,19 +31,17 @@ class AsyncWriter;
 
 namespace slipflow::sim {
 
-/// Per-phase schedule of ParallelLbm.
+/// Where ParallelLbm's one per-phase stage list puts its two halo waits.
+/// The kernels, the pool slicing and the stage spans are the same in
+/// both modes, so physics is bit-identical for any mode and thread count
+/// (every lattice slot is written exactly once per phase either way).
 enum class StepMode {
-  /// The legacy sequence: each exchange blocks between compute stages
-  /// (compute -> exchange_f -> compute -> exchange_density -> compute).
+  /// Each wait right after its post: every exchange blocks between
+  /// compute stages.
   blocking,
-  /// Communication/computation overlap: post each halo exchange
-  /// (irecv + extract + isend), run the halo-independent bulk of the
-  /// phase — across the rank's thread pool — while frames are in
-  /// flight, then wait() and finish the halo-dependent remainder.
-  /// Physics is bit-identical to blocking for any thread count (every
-  /// lattice slot is written exactly once per phase either way).
-  /// Requires the plan kernel path; with legacy kernels the runner
-  /// silently steps blocking.
+  /// Communication/computation overlap: each wait after the
+  /// halo-independent bulk of the phase, which runs while frames are in
+  /// flight.
   overlap,
 };
 
@@ -80,16 +78,13 @@ struct RunnerConfig {
   /// (y_low, y_high, z_low, z_high); all zero = resting walls.
   std::array<lbm::Vec3, 4> wall_velocity{};
   balance::BalanceConfig balance;
-  /// Kernel implementation the runner steps with. The plan path (default)
-  /// is bit-identical to legacy; rebuilds of the streaming plan after a
-  /// migration are timed under the "plan" span, outside "remap".
-  lbm::KernelPath kernels = lbm::KernelPath::plan;
-  /// Step schedule; see StepMode. Overlap is the default for the same
-  /// reason the plan path is: bit-identical results, faster wall clock.
+  /// Step schedule; see StepMode. Overlap is the default: bit-identical
+  /// results, faster wall clock.
   StepMode step = StepMode::overlap;
-  /// Lanes of the per-rank thread pool that sweeps the overlap phases'
-  /// halo-independent bulk. 1 = no extra threads. Results are
-  /// bit-identical for any value (static write-disjoint partition).
+  /// Lanes of the per-rank thread pool that sweeps the phase's bulk
+  /// (stream, inner densities, inner forces). 1 = no extra threads.
+  /// Results are bit-identical for any value (static write-disjoint
+  /// partition).
   int threads = 1;
   /// Remap policy name: "none", "conservative", "filtered", "global".
   std::string policy = "none";
@@ -174,18 +169,13 @@ class ParallelLbm {
   /// Total mass of one component across all ranks (identical everywhere).
   double global_mass(std::size_t component);
 
-  /// Total mass of every component in one vector collective; element c
-  /// is byte-identical to global_mass(c).
-  std::vector<double> global_masses();
-
   /// Component masses folded in GLOBAL PLANE ORDER instead of rank
   /// order: per-plane sums (each plane has exactly one owner, so the
   /// element-wise reduction adds exact zeros) combined x = 0..nx-1.
   /// Byte-identical across rank counts, transports and migration
-  /// histories — the mass observable of the served "physics" set, where
-  /// a crash-recovered or warm-started job must reproduce a
+  /// histories, so a crash-recovered or warm-started job reproduces a
   /// straight-through run exactly even though its migration history
-  /// differs. global_masses() keeps the historical rank-ordered fold.
+  /// differs.
   std::vector<double> global_masses_ordered();
 
   /// Collective checkpoint: rank 0 creates the file, then every rank
@@ -211,28 +201,19 @@ class ParallelLbm {
  private:
   class RingExchanger;
 
-  /// Build the slab's streaming plan if the plan path needs one and it is
-  /// missing (first run, or dropped by a migration rebuild); the build is
+  /// Build the slab's streaming plan (and tile layout) if it is missing
+  /// (first run, or dropped by a migration rebuild); the build is
   /// recorded under the "plan" span — outside "remap", so fig09's
   /// remap-cost story stays honest.
   void ensure_plan();
 
-  /// Overlap applies only to the plan kernel path (legacy kernels have
-  /// no interior/boundary split to hide communication behind).
-  bool overlap_mode() const {
-    return cfg_.step == StepMode::overlap &&
-           cfg_.kernels == lbm::KernelPath::plan;
-  }
-
-  /// One phase of the legacy blocking schedule (spans: collide, halo_f,
-  /// stream_density, halo_density, force_velocity).
-  void step_blocking();
-  /// One phase of the overlap schedule (spans: collide, halo_post_f,
+  /// One phase as one stage list (spans: collide, halo_post_f,
   /// interior_stream, halo_wait_f, boundary_stream, halo_post_density,
-  /// interior_force, halo_wait_density, boundary_force).
-  void step_overlap();
-  /// Injected slowdown + the per-phase stats/metrics epilogue shared by
-  /// both schedules. `t` = the clock reading that closed the last span.
+  /// interior_force, halo_wait_density, boundary_force); blocking mode
+  /// hoists each halo_wait_* to right after its post.
+  void step();
+  /// Injected slowdown + the per-phase stats/metrics epilogue. `t` = the
+  /// clock reading that closed the last span.
   void finish_phase(double phase_begin, double t, double compute);
 
   /// Periodic checkpoint/VTK hook, run after the remap block of an
@@ -270,12 +251,12 @@ class ParallelLbm {
   long long phases_done_ = 0;
   bool initialized_ = false;
 
-  // Overlap-mode state: the pool is created on the first overlapped
-  // run(); per-lane cell counts and the interior/halo-wait split feed
-  // the thread/<t>/cells_updated counters and the overlap_efficiency
-  // gauge published at the end of each run().
+  // Stepping state: the pool is created on the first run(); per-lane cell
+  // counts and the interior/halo-wait split feed the
+  // thread/<t>/cells_updated counters and the overlap_efficiency gauge
+  // published at the end of each run().
   std::unique_ptr<util::ThreadPool> pool_;
-  lbm::ForcePsiCache psi_cache_;
+  lbm::PhaseKernels kernels_;
   std::vector<double> thread_cells_;
   double interior_seconds_ = 0.0;
   double halo_wait_seconds_ = 0.0;

@@ -85,9 +85,7 @@ std::string collect_observables(ParallelLbm& run,
   // otherwise report zero profiles (refresh is byte-idempotent when no
   // migration happened).
   run.refresh_observables();
-  const std::vector<double> masses = set == ObservableSet::physics
-                                         ? run.global_masses_ordered()
-                                         : run.global_masses();
+  const std::vector<double> masses = run.global_masses_ordered();
   const std::vector<RankStats> stats = run.gather_stats();
 
   std::ostringstream os;
@@ -179,8 +177,7 @@ int worker_main(int argc, const char* const* argv) {
   const std::string backend_name =
       opts.get("kernel-backend", std::string("auto"));
   if (backend_name != "auto") {
-    const std::optional<lbm::KernelBackend> kb =
-        lbm::parse_kernel_backend(backend_name);
+    const auto kb = lbm::parse_kernel_backend(backend_name);
     if (!kb) {
       std::fprintf(stderr, "rank %d: unknown --kernel-backend=%s\n", rank,
                    backend_name.c_str());

@@ -304,21 +304,19 @@ TEST(PlanKernels, RebuildAfterMigrationMatchesSequentialLegacy) {
   // a slowed middle rank forces plane migrations; every migration drops
   // the donor's and receiver's plans, so the run crosses several plan
   // rebuilds — and must still match the sequential *legacy* reference,
-  // tying the two kernel paths together across a remap.
-  sim::RunnerConfig cfg;
-  cfg.global = kRemapGrid;
-  cfg.fluid = FluidParams::microchannel_defaults(0.05, 1.5, 0.03, 1.0, 2e-5);
-  cfg.kernels = KernelPath::plan;
-  cfg.policy = "filtered";
-  cfg.remap_interval = 4;
-  cfg.balance.window = 3;
-  cfg.balance.min_transfer_points = 24;  // one yz-plane of this grid
-  cfg.slowdown = {0.0, 3.0, 0.0};
-  obs::MetricsRegistry reg(3);
-  cfg.metrics = &reg;
+  // tying the two kernel paths together across a remap. Both step modes
+  // and every pool width are pinned to that reference independently.
+  sim::RunnerConfig base;
+  base.global = kRemapGrid;
+  base.fluid = FluidParams::microchannel_defaults(0.05, 1.5, 0.03, 1.0, 2e-5);
+  base.policy = "filtered";
+  base.remap_interval = 4;
+  base.balance.window = 3;
+  base.balance.min_transfer_points = 24;  // one yz-plane of this grid
+  base.slowdown = {0.0, 3.0, 0.0};
   const int phases = 60;
 
-  Simulation seq(kRemapGrid, cfg.fluid);
+  Simulation seq(kRemapGrid, base.fluid);
   seq.set_kernel_path(KernelPath::legacy);
   seq.initialize_uniform();
   seq.run(phases);
@@ -329,43 +327,58 @@ TEST(PlanKernels, RebuildAfterMigrationMatchesSequentialLegacy) {
     ref.ux.push_back(velocity_profile_y(seq.slab(), gx, 2));
   }
 
-  Profiles par;
-  par.water.resize(static_cast<std::size_t>(kRemapGrid.nx));
-  par.air.resize(static_cast<std::size_t>(kRemapGrid.nx));
-  par.ux.resize(static_cast<std::size_t>(kRemapGrid.nx));
-  long long migrated = 0;
-  std::mutex mu;
-  transport::run_ranks(3, [&](transport::Communicator& comm) {
-    sim::ParallelLbm run(cfg, comm);
-    run.initialize_uniform();
-    run.run(phases);
-    auto stats = run.gather_stats();
-    for (index_t gx = 0; gx < kRemapGrid.nx; ++gx) {
-      auto w = run.gather_density_profile_y(0, gx, 2);
-      auto a = run.gather_density_profile_y(1, gx, 2);
-      auto u = run.gather_velocity_profile_y(gx, 2);
-      if (comm.rank() == 0) {
-        std::lock_guard<std::mutex> lk(mu);
-        const auto i = static_cast<std::size_t>(gx);
-        par.water[i] = std::move(w);
-        par.air[i] = std::move(a);
-        par.ux[i] = std::move(u);
+  for (const sim::StepMode step :
+       {sim::StepMode::blocking, sim::StepMode::overlap}) {
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(step == sim::StepMode::blocking ? "blocking"
+                                                               : "overlap") +
+                   ", threads=" + std::to_string(threads));
+      sim::RunnerConfig cfg = base;
+      cfg.step = step;
+      cfg.threads = threads;
+      obs::MetricsRegistry reg(3);
+      cfg.metrics = &reg;
+
+      Profiles par;
+      par.water.resize(static_cast<std::size_t>(kRemapGrid.nx));
+      par.air.resize(static_cast<std::size_t>(kRemapGrid.nx));
+      par.ux.resize(static_cast<std::size_t>(kRemapGrid.nx));
+      long long migrated = 0;
+      std::mutex mu;
+      transport::run_ranks(3, [&](transport::Communicator& comm) {
+        sim::ParallelLbm run(cfg, comm);
+        run.initialize_uniform();
+        run.run(phases);
+        auto stats = run.gather_stats();
+        for (index_t gx = 0; gx < kRemapGrid.nx; ++gx) {
+          auto w = run.gather_density_profile_y(0, gx, 2);
+          auto a = run.gather_density_profile_y(1, gx, 2);
+          auto u = run.gather_velocity_profile_y(gx, 2);
+          if (comm.rank() == 0) {
+            std::lock_guard<std::mutex> lk(mu);
+            const auto i = static_cast<std::size_t>(gx);
+            par.water[i] = std::move(w);
+            par.air[i] = std::move(a);
+            par.ux[i] = std::move(u);
+          }
+        }
+        if (comm.rank() == 0) {
+          std::lock_guard<std::mutex> lk(mu);
+          for (const auto& s : stats) migrated += s.planes_sent;
+        }
+      });
+
+      EXPECT_GT(migrated, 0);  // the run really crossed a migration
+      expect_profiles_near(ref, par);
+      // the plan path reports its bookkeeping: plan builds are timed
+      // (outside "remap") and the MLUPS gauge is derived from the
+      // fluid-cell count
+      EXPECT_GT(reg.counter_total("time/plan"), 0.0);
+      EXPECT_GT(reg.counter_total("cells_updated"), 0.0);
+      for (int r = 0; r < 3; ++r) {
+        ASSERT_TRUE(reg.has_gauge(r, "mlups"));
+        EXPECT_GT(reg.gauge(r, "mlups"), 0.0);
       }
     }
-    if (comm.rank() == 0) {
-      std::lock_guard<std::mutex> lk(mu);
-      for (const auto& s : stats) migrated += s.planes_sent;
-    }
-  });
-
-  EXPECT_GT(migrated, 0);  // the run really crossed a migration
-  expect_profiles_near(ref, par);
-  // the plan path reports its bookkeeping: plan builds are timed (outside
-  // "remap") and the MLUPS gauge is derived from the fluid-cell count
-  EXPECT_GT(reg.counter_total("time/plan"), 0.0);
-  EXPECT_GT(reg.counter_total("cells_updated"), 0.0);
-  for (int r = 0; r < 3; ++r) {
-    ASSERT_TRUE(reg.has_gauge(r, "mlups"));
-    EXPECT_GT(reg.gauge(r, "mlups"), 0.0);
   }
 }

@@ -14,8 +14,11 @@
 //     (phases_executed == phases - warm_phases) across rank counts.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -32,6 +35,9 @@
 
 #ifndef SLIPFLOW_WORKER_EXE
 #error "SLIPFLOW_WORKER_EXE must point at the slipflow_worker binary"
+#endif
+#ifndef SLIPFLOW_SUBMIT_EXE
+#error "SLIPFLOW_SUBMIT_EXE must point at the slipflow_submit binary"
 #endif
 
 using namespace slipflow;
@@ -77,6 +83,51 @@ std::string run_direct(const JobSpec& spec, const std::string& dir) {
   std::ostringstream os;
   os << f.rdbuf();
   return os.str();
+}
+
+struct CommandResult {
+  int exit_code = -1;
+  std::string output;  ///< stdout + stderr
+};
+
+/// Run slipflow_submit with `args` on the small spec (written to `dir`).
+CommandResult run_submit(const std::string& dir, const std::string& args) {
+  const std::string spec = dir + "/spec.json";
+  std::ofstream(spec) << small_spec().to_json().dump();
+  const std::string cmd = std::string(SLIPFLOW_SUBMIT_EXE) +
+                          " --spec=" + spec + " " + args + " 2>&1";
+  CommandResult r;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return r;
+  char buf[256];
+  while (fgets(buf, sizeof buf, pipe) != nullptr) r.output += buf;
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
+  return r;
+}
+
+/// Thread stacks mapped in this process: a one-page PROT_NONE guard
+/// directly below a read-write mapping. An exited std::thread keeps its
+/// stack mapped until it is joined; joined stacks go back to the C
+/// library's bounded stack cache.
+int mapped_thread_stacks() {
+  std::ifstream maps("/proc/self/maps");
+  const unsigned long page = static_cast<unsigned long>(::sysconf(_SC_PAGESIZE));
+  int stacks = 0;
+  bool prev_guard = false;
+  unsigned long prev_end = 0;
+  std::string line;
+  while (std::getline(maps, line)) {
+    unsigned long begin = 0, end = 0;
+    char perms[5] = {};
+    if (std::sscanf(line.c_str(), "%lx-%lx %4s", &begin, &end, perms) != 3)
+      continue;
+    const std::string p(perms);
+    if (prev_guard && begin == prev_end && p.starts_with("rw")) ++stacks;
+    prev_guard = p == "---p" && end - begin == page;
+    prev_end = end;
+  }
+  return stacks;
 }
 
 }  // namespace
@@ -339,6 +390,80 @@ TEST(ServeE2E, KilledRankRecoversFromCheckpoint) {
   const std::string direct = run_direct(clean, temp_dir("e2e_recovery_ref"));
   EXPECT_EQ(rec.string_or("observables", ""), direct);
   server.stop();
+}
+
+// Every served job runs on its own thread and every submit/wait on its
+// own connection thread; a long-lived daemon must join them as they
+// finish instead of keeping one dead thread per job until shutdown.
+TEST(ServeE2E, SequentialJobsKeepThreadsBounded) {
+  serve::CampaignServer::Config cfg;
+  cfg.socket_path = socket_path("reap");
+  cfg.work_dir = temp_dir("e2e_reap");
+  cfg.worker_exe = SLIPFLOW_WORKER_EXE;
+  serve::CampaignServer server(cfg);
+  server.start();
+  serve::Client client(cfg.socket_path);
+  JobSpec s = small_spec();
+  s.phases = 2;
+  const auto run_one = [&] {
+    const JsonValue rec = client.wait(client.submit("reap", s));
+    EXPECT_EQ(rec.string_or("state", ""), "done")
+        << rec.string_or("diagnostic", "");
+  };
+
+  for (int i = 0; i < 2; ++i) run_one();  // settle the allocator's arenas
+  const int before = mapped_thread_stacks();
+  constexpr int kJobs = 10;
+  for (int i = 0; i < kJobs; ++i) run_one();
+  const int grown = mapped_thread_stacks() - before;
+  // Unjoined, this grows by three stacks per job: the job thread and the
+  // submit and wait connection threads.
+  EXPECT_LE(grown, 4) << grown << " thread stacks left over by " << kJobs
+                      << " sequential jobs";
+  server.stop();
+}
+
+// slipflow_submit creates a missing (nested) --out-dir before the first
+// job, in both the direct and the served mode.
+TEST(ServeE2E, SubmitCreatesMissingOutDir) {
+  const std::string dir = temp_dir("submit_mkdir");
+  const CommandResult direct =
+      run_submit(dir, "--direct --out-dir=" + dir + "/direct/a/b");
+  EXPECT_EQ(direct.exit_code, 0) << direct.output;
+  EXPECT_TRUE(std::filesystem::exists(dir + "/direct/a/b/obs_direct1.txt"))
+      << direct.output;
+
+  serve::CampaignServer::Config cfg;
+  cfg.socket_path = socket_path("mkdir");
+  cfg.work_dir = dir + "/work";
+  cfg.worker_exe = SLIPFLOW_WORKER_EXE;
+  serve::CampaignServer server(cfg);
+  server.start();
+  const CommandResult served =
+      run_submit(dir, "--quiet --socket=" + cfg.socket_path +
+                          " --out-dir=" + dir + "/served/a/b");
+  server.stop();
+  EXPECT_EQ(served.exit_code, 0) << served.output;
+  EXPECT_TRUE(std::filesystem::exists(dir + "/served/a/b/obs_job1.txt"))
+      << served.output;
+}
+
+// An --out-dir that cannot be created fails fast with one line, before
+// any job runs (no worker is launched, no server is contacted).
+TEST(ServeE2E, SubmitRejectsUncreatableOutDir) {
+  const std::string dir = temp_dir("submit_baddir");
+  std::ofstream(dir + "/file") << "not a directory";
+  const std::string bad = " --out-dir=" + dir + "/file/sub";
+  for (const std::string& mode :
+       {std::string("--direct"),
+        "--socket=" + socket_path("nobody_listens")}) {
+    const CommandResult r = run_submit(dir, mode + bad);
+    EXPECT_EQ(r.exit_code, 2) << mode << ":\n" << r.output;
+    EXPECT_NE(r.output.find("cannot create --out-dir"), std::string::npos)
+        << mode << ":\n" << r.output;
+    EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
+        << mode << ":\n" << r.output;
+  }
 }
 
 // The second job with the same physics seeds from the warm cache and

@@ -373,7 +373,6 @@ TEST(TileKernels, ParallelSimdRunMatchesSequentialScalar) {
   sim::RunnerConfig cfg;
   cfg.global = grid;
   cfg.fluid = FluidParams::microchannel_defaults(0.05, 1.5, 0.03, 1.0, 2e-5);
-  cfg.kernels = KernelPath::plan;
   cfg.policy = "filtered";
   cfg.remap_interval = 4;
   cfg.balance.window = 3;
