@@ -15,7 +15,6 @@
 /// pseudo-code is used by the collision on line 4 of the next iteration.
 
 #include <array>
-#include <utility>
 #include <vector>
 
 #include "lbm/simd.hpp"
@@ -92,21 +91,29 @@ void compute_forces_and_velocity_plan(Slab& slab);
 /// run back to back on one lane, so each pass's tile-vs-run choice is
 /// made here once. bind() ties the object to a slab and a kernel backend
 /// for one phase and picks the interior work unit: tiles on a SIMD
-/// backend, plan runs on scalar. Lanes slice those units, so a slice
-/// never splits a tile and every cell takes the same code path for any
-/// rank x lane partition. Each f_post slot, density and force cell is
-/// written by exactly one piece, so any partition, threaded included, is
-/// bit-identical to the wrappers. A (lane, lanes) piece does the lane's
-/// util::ThreadPool::slice share; distinct lanes may run concurrently.
+/// backend, plan runs on scalar. The stream pass slices those units
+/// across lanes and the force pass slices whole planes, so no slice
+/// splits a tile and every cell takes the same code path for any
+/// rank x lane partition. Each f_post slot, density, psi and force cell
+/// is written by exactly one piece, so any partition, threaded included,
+/// is bit-identical to the wrappers. A (lane, lanes) piece does the
+/// lane's util::ThreadPool::slice share; distinct lanes may run
+/// concurrently.
 ///
 /// Order within a phase, after collide_boundary_planes:
-///   stream(lane)    any time: reads owned f/n/ueq only
-///   finish_stream   once the f halo landed
-///   edge_density    planes 1 and nx_local (the density-halo payload)
-///   density(lane)   the inner planes [2, nx_local)
-///   owned_psi       once every owned density exists
-///   force(lane)     the inner planes, whose psi gathers stay owned
-///   finish_force    once the density halo landed: the edge planes
+///   stream(lane)          any time: reads owned f/n/ueq only
+///   finish_stream         once the f halo landed
+///   edge_density          n and psi of planes 1 and nx_local (the
+///                         density-halo payload)
+///   interior_force(lane)  the plane wavefront over the lane's block of
+///                         the inner planes [2, nx_local): n and psi of
+///                         plane x+1, then the force of plane x, so the
+///                         force re-reads f(x) from cache instead of DRAM
+///   seam_force(lane)      after every lane's wavefront: the force of the
+///                         lane's seam planes, the block ends whose psi
+///                         neighbour another lane computes
+///   finish_force          once the density halo landed: psi of the halo
+///                         planes, then the force of planes 1, nx_local
 class PhaseKernels {
  public:
   /// Bind to `slab` for one phase. Builds its plan and, on a tile
@@ -120,23 +127,32 @@ class PhaseKernels {
   /// Copy the plan's halo pulls, swap f_post into f and pin solid cells.
   void finish_stream();
   void edge_density();
-  void density(int lane, int lanes);
-  /// psi of the owned planes; for the paper's psi = n it aliases the
-  /// densities, for the exponential form it caches 1 - exp(-n).
-  void owned_psi();
-  /// Force/velocity of the lane's share of the inner-plane cells.
-  void force(int lane, int lanes);
-  /// psi of the halo planes, then force/velocity of planes 1, nx_local.
+  void interior_force(int lane, int lanes);
+  void seam_force(int lane, int lanes);
   void finish_force();
 
  private:
+  /// The whole-slab force pass: psi of every stored plane, then the
+  /// force of every owned plane, over densities that already exist.
+  friend void compute_forces_and_velocity_plan(Slab& slab);
+
   bool tiled() const { return backend_ != KernelBackend::scalar; }
-  /// [begin, end) of the force units (tiles or runs) of the inner planes.
-  std::pair<std::size_t, std::size_t> inner_force_units() const;
-  /// Force/velocity of force units [ub, ue) and boundary cells [cb, ce).
-  void force_units(std::size_t ub, std::size_t ue, std::size_t cb,
-                   std::size_t ce);
-  void psi_cells(index_t cell_begin, index_t cell_end);
+  /// The lane's block [begin, end) of the inner planes, and the planes
+  /// [lo, hi) of it whose force its wavefront computes; the rest are
+  /// seam planes.
+  struct Block {
+    index_t begin, lo, hi, end;
+  };
+  Block inner_block(int lane, int lanes) const;
+  /// Point psi_ at this phase's psi storage: the densities for the
+  /// paper's psi = n, a per-cell cache of 1 - exp(-n) otherwise.
+  void bind_psi();
+  /// n, then psi, of owned planes [lx_begin, lx_end).
+  void density_psi(index_t lx_begin, index_t lx_end);
+  /// psi of stored planes [lx_begin, lx_end) (halo planes included).
+  void psi_planes(index_t lx_begin, index_t lx_end);
+  /// Force/velocity of owned planes [lx_begin, lx_end).
+  void force_planes(index_t lx_begin, index_t lx_end);
 
   Slab* slab_ = nullptr;
   KernelBackend backend_ = KernelBackend::scalar;

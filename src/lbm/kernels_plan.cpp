@@ -330,22 +330,7 @@ void PhaseKernels::finish_stream() {
   }
 }
 
-void PhaseKernels::edge_density() {
-  const index_t nxl = slab_->nx_local();
-  compute_density_planes(*slab_, backend_, 1, 2);
-  if (nxl > 1) compute_density_planes(*slab_, backend_, nxl, nxl + 1);
-}
-
-void PhaseKernels::density(int lane, int lanes) {
-  const auto inner = static_cast<std::size_t>(
-      std::max<index_t>(slab_->nx_local() - 2, 0));
-  const auto [pb, pe] = util::ThreadPool::slice(inner, lane, lanes);
-  if (pb < pe)
-    compute_density_planes(*slab_, backend_, 2 + static_cast<index_t>(pb),
-                           2 + static_cast<index_t>(pe));
-}
-
-void PhaseKernels::owned_psi() {
+void PhaseKernels::bind_psi() {
   const std::size_t nc = slab_->num_components();
   SLIPFLOW_REQUIRE(nc <= psi_.size());
   // For the paper's psi = n the density storage *is* the cache; for the
@@ -359,60 +344,82 @@ void PhaseKernels::owned_psi() {
     if (cached) psi_scratch_[c].resize(n.size());
     psi_[c] = cached ? psi_scratch_[c].data() : n.data();
   }
-  const index_t pc = slab_->storage().plane_cells();
-  psi_cells(pc, (slab_->nx_local() + 1) * pc);
 }
 
-void PhaseKernels::psi_cells(index_t cell_begin, index_t cell_end) {
+void PhaseKernels::psi_planes(index_t lx_begin, index_t lx_end) {
+  const index_t pc = slab_->storage().plane_cells();
   for (std::size_t c = 0; c < psi_scratch_.size(); ++c) {
     std::span<const double> n = slab_->density(c).data();
-    for (index_t i = cell_begin; i < cell_end; ++i) {
+    for (index_t i = lx_begin * pc; i < lx_end * pc; ++i) {
       const auto u = static_cast<std::size_t>(i);
       psi_scratch_[c][u] = 1.0 - std::exp(-n[u]);
     }
   }
 }
 
-std::pair<std::size_t, std::size_t> PhaseKernels::inner_force_units() const {
-  if (tiled())
-    return {slab_->tiles().force_inner_begin(),
-            slab_->tiles().force_inner_end()};
-  const StreamingPlan& plan = slab_->plan();
-  return {plan.force_interior_inner_begin(), plan.force_interior_inner_end()};
+void PhaseKernels::density_psi(index_t lx_begin, index_t lx_end) {
+  compute_density_planes(*slab_, backend_, lx_begin, lx_end);
+  psi_planes(lx_begin, lx_end);
 }
 
-void PhaseKernels::force_units(std::size_t ub, std::size_t ue,
-                               std::size_t cb, std::size_t ce) {
+void PhaseKernels::force_planes(index_t lx_begin, index_t lx_end) {
+  const StreamingPlan& plan = slab_->plan();
+  const auto [cb, ce] = plan.force_boundary_planes().planes(lx_begin, lx_end);
   if (tiled()) {
-    compute_forces_tiles(*slab_, psi_, backend_, ub, ue);
+    const auto [tb, te] =
+        slab_->tiles().force_tile_planes().planes(lx_begin, lx_end);
+    compute_forces_tiles(*slab_, psi_, backend_, tb, te);
     compute_forces_plan_range(*slab_, psi_, 0, 0, cb, ce);
   } else {
-    compute_forces_plan_range(*slab_, psi_, ub, ue, cb, ce);
+    const auto [rb, re] =
+        plan.force_interior_planes().planes(lx_begin, lx_end);
+    compute_forces_plan_range(*slab_, psi_, rb, re, cb, ce);
   }
 }
 
-void PhaseKernels::force(int lane, int lanes) {
-  const StreamingPlan& plan = slab_->plan();
-  const auto [ib, ie] = inner_force_units();
-  const std::size_t bb = plan.force_boundary_inner_begin();
-  const auto [ub, ue] = util::ThreadPool::slice(ie - ib, lane, lanes);
-  const auto [cb, ce] = util::ThreadPool::slice(
-      plan.force_boundary_inner_end() - bb, lane, lanes);
-  force_units(ib + ub, ib + ue, bb + cb, bb + ce);
+void PhaseKernels::edge_density() {
+  const index_t nxl = slab_->nx_local();
+  bind_psi();
+  density_psi(1, 2);
+  if (nxl > 1) density_psi(nxl, nxl + 1);
+}
+
+PhaseKernels::Block PhaseKernels::inner_block(int lane, int lanes) const {
+  const index_t nxl = slab_->nx_local();
+  const auto [pb, pe] = util::ThreadPool::slice(
+      static_cast<std::size_t>(std::max<index_t>(nxl - 2, 0)), lane, lanes);
+  Block b{};
+  b.begin = 2 + static_cast<index_t>(pb);
+  b.end = 2 + static_cast<index_t>(pe);
+  // A block end is a seam when its outer psi neighbour is another lane's
+  // inner plane; the edge planes 1 and nx_local are ready beforehand.
+  b.lo = std::min(b.begin + (b.begin > 2 ? 1 : 0), b.end);
+  b.hi = std::max(b.end - (b.end < nxl ? 1 : 0), b.lo);
+  return b;
+}
+
+void PhaseKernels::interior_force(int lane, int lanes) {
+  const Block b = inner_block(lane, lanes);
+  if (b.begin == b.end) return;
+  density_psi(b.begin, b.begin + 1);
+  for (index_t x = b.begin; x < b.end; ++x) {
+    if (x + 1 < b.end) density_psi(x + 1, x + 2);
+    if (x >= b.lo && x < b.hi) force_planes(x, x + 1);
+  }
+}
+
+void PhaseKernels::seam_force(int lane, int lanes) {
+  const Block b = inner_block(lane, lanes);
+  if (b.begin < b.lo) force_planes(b.begin, b.lo);
+  if (b.hi < b.end) force_planes(b.hi, b.end);
 }
 
 void PhaseKernels::finish_force() {
-  const StreamingPlan& plan = slab_->plan();
   const index_t nxl = slab_->nx_local();
-  const index_t pc = slab_->storage().plane_cells();
-  psi_cells(0, pc);
-  psi_cells((nxl + 1) * pc, (nxl + 2) * pc);
-  const auto [ib, ie] = inner_force_units();
-  const std::size_t units = tiled() ? slab_->tiles().force_tiles().size()
-                                    : plan.force_interior().size();
-  force_units(0, ib, 0, plan.force_boundary_inner_begin());
-  force_units(ie, units, plan.force_boundary_inner_end(),
-              plan.force_boundary().size());
+  psi_planes(0, 1);
+  psi_planes(nxl + 1, nxl + 2);
+  force_planes(1, 2);
+  if (nxl > 1) force_planes(nxl, nxl + 1);
 }
 
 void fused_collide_stream(Slab& slab) {
@@ -425,9 +432,9 @@ void fused_collide_stream(Slab& slab) {
 void compute_forces_and_velocity_plan(Slab& slab) {
   static thread_local PhaseKernels k;  // keeps the psi scratch allocated
   k.bind(slab);
-  k.owned_psi();
-  k.force(0, 1);
-  k.finish_force();
+  k.bind_psi();
+  k.psi_planes(0, slab.nx_local() + 2);
+  k.force_planes(1, slab.nx_local() + 1);
 }
 
 }  // namespace slipflow::lbm

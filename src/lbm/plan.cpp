@@ -91,17 +91,8 @@ void StreamingPlan::classify() {
   };
 
   for (index_t lx = 1; lx <= nx_local_; ++lx) {
-    // Inner-slice markers for the overlap runner: planes [2, nx_local-1]
-    // only. Both conditions fire at lx==2 when nx_local==2 (empty inner);
-    // for nx_local==1 only the end fires, at size 0 (also empty).
-    if (lx == 2) {
-      fi_inner_begin_ = force_interior_.size();
-      fb_inner_begin_ = force_boundary_.size();
-    }
-    if (lx == nx_local_) {
-      fi_inner_end_ = force_interior_.size();
-      fb_inner_end_ = force_boundary_.size();
-    }
+    fi_planes_.first.push_back(force_interior_.size());
+    fb_planes_.first.push_back(force_boundary_.size());
     const index_t gx = x_begin_ + lx - 1;
     for (index_t y = 0; y < ny; ++y) {
       InteriorRun srun{};  // open stream-interior run of this row
@@ -199,6 +190,8 @@ void StreamingPlan::classify() {
       if (frun.count > 0) force_interior_.push_back(frun);
     }
   }
+  fi_planes_.first.push_back(force_interior_.size());
+  fb_planes_.first.push_back(force_boundary_.size());
 }
 
 }  // namespace slipflow::lbm

@@ -129,17 +129,12 @@ class StreamingPlan {
   /// 1..18 in order; -1 = psi is zero there).
   const std::vector<index_t>& force_neighbors() const { return force_nbrs_; }
 
-  /// The force vectors above are appended in lx order, so the cells of
-  /// the inner planes lx in [2, nx_local-1] — whose psi gathers never
-  /// touch a halo plane — form one contiguous middle slice. The overlap
-  /// runner sweeps [inner_begin, inner_end) while the density halo is in
-  /// flight and the complement (the prefix up to inner_begin = plane 1,
-  /// the suffix from inner_end = plane nx_local) after the halo landed.
-  /// Empty when nx_local <= 2 (every plane is an edge plane).
-  std::size_t force_interior_inner_begin() const { return fi_inner_begin_; }
-  std::size_t force_interior_inner_end() const { return fi_inner_end_; }
-  std::size_t force_boundary_inner_begin() const { return fb_inner_begin_; }
-  std::size_t force_boundary_inner_end() const { return fb_inner_end_; }
+  /// Per-plane slices of force_interior() and force_boundary(). Both
+  /// vectors are appended in lx order and runs never span planes, so the
+  /// cells of owned planes [lx_begin, lx_end) form one contiguous slice
+  /// of each — the work units of the plane wavefront.
+  const PlaneIndex& force_interior_planes() const { return fi_planes_; }
+  const PlaneIndex& force_boundary_planes() const { return fb_planes_; }
 
   /// Owned fluid cells (interior + boundary) — the MLUPS denominator.
   index_t fluid_cells() const { return fluid_cells_; }
@@ -164,8 +159,7 @@ class StreamingPlan {
   std::vector<InteriorRun> force_interior_;
   std::vector<ForceBoundaryCell> force_boundary_;
   std::vector<index_t> force_nbrs_;
-  std::size_t fi_inner_begin_ = 0, fi_inner_end_ = 0;
-  std::size_t fb_inner_begin_ = 0, fb_inner_end_ = 0;
+  PlaneIndex fi_planes_, fb_planes_;
 };
 
 }  // namespace slipflow::lbm

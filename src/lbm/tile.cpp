@@ -25,17 +25,16 @@ void chop_runs(const std::vector<InteriorRun>& runs, std::size_t run_begin,
 TileLayout::TileLayout(const StreamingPlan& plan) {
   chop_runs(plan.stream_interior(), 0, plan.stream_interior().size(), stream_,
             stream_cells_);
-  // Force tiles keep the plan's lx ordering, so chopping the three run
-  // slices (prefix / inner / suffix) in order yields tile-level inner
-  // markers that cover exactly the same cells as the run-level ones.
+  // Force tiles are chopped plane by plane, so each plane's tiles cover
+  // exactly the cells of its runs.
   const auto& fr = plan.force_interior();
-  chop_runs(fr, 0, plan.force_interior_inner_begin(), force_, force_cells_);
-  force_inner_begin_ = force_.size();
-  chop_runs(fr, plan.force_interior_inner_begin(),
-            plan.force_interior_inner_end(), force_, force_cells_);
-  force_inner_end_ = force_.size();
-  chop_runs(fr, plan.force_interior_inner_end(), fr.size(), force_,
-            force_cells_);
+  const PlaneIndex& runs = plan.force_interior_planes();
+  for (index_t lx = 1; lx <= plan.nx_local(); ++lx) {
+    force_planes_.first.push_back(force_.size());
+    const auto [rb, re] = runs.planes(lx, lx + 1);
+    chop_runs(fr, rb, re, force_, force_cells_);
+  }
+  force_planes_.first.push_back(force_.size());
 }
 
 }  // namespace slipflow::lbm

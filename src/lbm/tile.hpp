@@ -49,12 +49,10 @@ class TileLayout {
   /// Tiles of the Shan-Chen force kernel (plan.force_interior()).
   const std::vector<Tile>& force_tiles() const { return force_; }
 
-  /// Tile-index analogue of StreamingPlan::force_interior_inner_*: the
-  /// contiguous middle slice of force_tiles() whose psi gathers never
-  /// touch a halo plane. Exact because inner markers sit on run
-  /// boundaries and tiles never span runs.
-  std::size_t force_inner_begin() const { return force_inner_begin_; }
-  std::size_t force_inner_end() const { return force_inner_end_; }
+  /// Tile-index analogue of StreamingPlan::force_interior_planes(): the
+  /// force tiles of owned planes [lx_begin, lx_end) are one contiguous
+  /// slice, since tiles never span runs and runs never span planes.
+  const PlaneIndex& force_tile_planes() const { return force_planes_; }
 
   /// Cell totals (== the sums over the corresponding plan runs).
   index_t stream_cells() const { return stream_cells_; }
@@ -62,7 +60,7 @@ class TileLayout {
 
  private:
   std::vector<Tile> stream_, force_;
-  std::size_t force_inner_begin_ = 0, force_inner_end_ = 0;
+  PlaneIndex force_planes_;
   index_t stream_cells_ = 0, force_cells_ = 0;
 };
 

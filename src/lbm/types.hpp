@@ -14,6 +14,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "util/require.hpp"
 
@@ -56,6 +58,21 @@ struct Extents {
   }
 
   bool operator==(const Extents&) const = default;
+};
+
+/// Offsets into a vector whose entries are appended plane by plane:
+/// first[lx - 1] is where owned plane lx (1-based) starts and
+/// first[nx_local] is the end. Built once with the vector it indexes,
+/// so a per-plane lookup never scans.
+struct PlaneIndex {
+  std::vector<std::size_t> first;
+
+  /// [begin, end) of the entries of owned planes [lx_begin, lx_end).
+  std::pair<std::size_t, std::size_t> planes(index_t lx_begin,
+                                             index_t lx_end) const {
+    return {first[static_cast<std::size_t>(lx_begin - 1)],
+            first[static_cast<std::size_t>(lx_end - 1)]};
+  }
 };
 
 }  // namespace slipflow::lbm

@@ -328,13 +328,13 @@ void ParallelLbm::step() {
   prof_->add("halo_bytes", halo_exchange_bytes(slab.density_halo_doubles()));
   if (!overlap) wait_density();
 
-  // --- inner densities + owned psi + the inner force sweep --- the
-  // force cells of planes [2, nx_local-1] gather psi from owned planes
-  // only, so the whole chain runs while the density halo is in flight.
+  // --- the density -> psi -> force wavefront over the inner planes ---
+  // the force cells of planes [2, nx_local-1] gather psi from owned
+  // planes only, so the whole chain runs while the density halo is in
+  // flight; the second run fills in the planes at the lanes' seams.
   stage("interior_force", compute, &interior, [&] {
-    pool_->run([&](int lane, int lanes) { k.density(lane, lanes); });
-    k.owned_psi();
-    pool_->run([&](int lane, int lanes) { k.force(lane, lanes); });
+    pool_->run([&](int lane, int lanes) { k.interior_force(lane, lanes); });
+    pool_->run([&](int lane, int lanes) { k.seam_force(lane, lanes); });
   });
   if (overlap) wait_density();
 

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <vector>
+
+#include <unistd.h>
 
 #include "lbm/kernels.hpp"
 #include "obs/async_writer.hpp"
@@ -279,6 +282,38 @@ int worker_main(int argc, const char* const* argv) {
   if (const std::string diag = opts.unknown_diagnostic(); !diag.empty()) {
     std::fprintf(stderr, "rank %d: %s", rank, diag.c_str());
     return 2;
+  }
+
+  // Fail before connecting or computing: every output lands in a
+  // directory that must already exist and be writable — the stream dir
+  // itself, the parent of every other (file or prefix) path.
+  struct Output {
+    const char* option;
+    std::string path;
+    bool is_dir;
+  };
+  const Output outputs[] = {
+      {"checkpoint-out", cfg.output.checkpoint_prefix, false},
+      {"vtk-out", cfg.output.vtk_prefix, false},
+      {"metrics-out", metrics_out, false},
+      {"observables-out", observables_out, false},
+      {"warm-checkpoint-out", warm_out, false},
+      {"stream-dir", stream_dir, true}};
+  for (const Output& o : outputs) {
+    if (o.path.empty()) continue;
+    const std::filesystem::path p(o.path);
+    const std::string dir = o.is_dir                   ? o.path
+                            : p.has_parent_path() ? p.parent_path().string()
+                                                  : std::string(".");
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir, ec) ||
+        ::access(dir.c_str(), W_OK | X_OK) != 0) {
+      std::fprintf(stderr,
+                   "rank %d: --%s=%s: directory %s is missing or not "
+                   "writable\n",
+                   rank, o.option, o.path.c_str(), dir.c_str());
+      return 2;
+    }
   }
 
   try {

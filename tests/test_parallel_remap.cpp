@@ -71,6 +71,8 @@ ParallelOutcome run_parallel(int ranks, int phases, const RunnerConfig& cfg) {
     ParallelLbm run(cfg, comm);
     run.initialize_uniform();
     run.run(phases);
+    // the last phase may end in a migration, which zeroes u_macro
+    run.refresh_observables();
     auto stats = run.gather_stats();
     for (index_t gx = 0; gx < kGrid.nx; ++gx) {
       auto w = run.gather_density_profile_y(0, gx, 2);

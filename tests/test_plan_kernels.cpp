@@ -15,11 +15,13 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lbm/observables.hpp"
 #include "lbm/plan.hpp"
 #include "lbm/simulation.hpp"
+#include "lbm/slab.hpp"
 #include "obs/metrics.hpp"
 #include "sim/parallel_lbm.hpp"
 #include "transport/thread_comm.hpp"
@@ -277,6 +279,81 @@ TEST(PlanStructure, ForcePlanCoversAllOwnedCellsOnce) {
   }
 }
 
+// -- the per-plane index of the force work ------------------------------
+
+namespace {
+
+/// The per-plane slices must partition [0, entries.size()) in plane
+/// order, each holding exactly the entries of its plane; and the inner
+/// planes [2, nx_local) must map to the slice the former inner markers
+/// named: from the first entry past plane 1 to the first entry of plane
+/// nx_local (no inner planes, and no markers, below two planes).
+template <class Entries, class CellOf>
+void expect_plane_index(const PlaneIndex& index, const Entries& entries,
+                        const Extents& storage, CellOf cell_of) {
+  const index_t nxl = storage.nx - 2;
+  const index_t pc = storage.plane_cells();
+  ASSERT_EQ(index.first.size(), static_cast<std::size_t>(nxl + 1));
+  EXPECT_EQ(index.first.front(), 0u);
+  EXPECT_EQ(index.first.back(), entries.size());
+  for (index_t lx = 1; lx <= nxl; ++lx) {
+    const auto [b, e] = index.planes(lx, lx + 1);
+    ASSERT_LE(b, e) << "plane " << lx;
+    for (std::size_t i = b; i < e; ++i)
+      ASSERT_EQ(cell_of(entries[i]) / pc, lx) << "entry " << i;
+  }
+  if (nxl < 2) return;
+  std::size_t before_inner = 0, before_last = 0;
+  for (const auto& x : entries) {
+    const index_t lx = cell_of(x) / pc;
+    before_inner += lx < 2 ? 1 : 0;
+    before_last += lx < nxl ? 1 : 0;
+  }
+  const auto [ib, ie] = index.planes(2, nxl);
+  EXPECT_EQ(ib, before_inner);
+  EXPECT_EQ(ie, before_last);
+}
+
+void expect_plan_plane_index(const StreamingPlan& plan) {
+  expect_plane_index(plan.force_interior_planes(), plan.force_interior(),
+                     plan.storage(),
+                     [](const InteriorRun& r) { return r.cell; });
+  expect_plane_index(plan.force_boundary_planes(), plan.force_boundary(),
+                     plan.storage(),
+                     [](const ForceBoundaryCell& b) { return b.cell; });
+}
+
+}  // namespace
+
+TEST(PlanStructure, PlaneIndexPartitionsForceWorkByPlane) {
+  for (const auto& gc : kGeoCases) {
+    SCOPED_TRACE(gc.name);
+    const auto geom = make_geom(gc);
+    for (const auto& [x_begin, nx_local] :
+         {std::pair<index_t, index_t>{0, kGrid.nx}, {3, 3}, {0, 2}, {5, 1}})
+      expect_plan_plane_index(StreamingPlan(*geom, x_begin, nx_local));
+
+    // a plane migration drops both plans; the rebuilt ones must index
+    // exactly like plans built fresh on the new extents
+    Slab left(geom, make_params(2, CollisionModel::bgk, gc), 0, 5);
+    Slab right(geom, make_params(2, CollisionModel::bgk, gc), 5, 3);
+    (void)left.plan();
+    (void)right.plan();
+    std::vector<double> buf(
+        static_cast<std::size_t>(left.migration_doubles(2)));
+    left.detach_planes(Side::right, 2, buf);
+    right.attach_planes(Side::left, 2, buf);
+    for (const Slab* slab : {&left, &right}) {
+      expect_plan_plane_index(slab->plan());
+      const StreamingPlan fresh(*geom, slab->x_begin(), slab->nx_local());
+      EXPECT_EQ(slab->plan().force_interior_planes().first,
+                fresh.force_interior_planes().first);
+      EXPECT_EQ(slab->plan().force_boundary_planes().first,
+                fresh.force_boundary_planes().first);
+    }
+  }
+}
+
 // -- plan rebuild after migration in the thread runner ------------------
 
 namespace {
@@ -349,6 +426,8 @@ TEST(PlanKernels, RebuildAfterMigrationMatchesSequentialLegacy) {
         sim::ParallelLbm run(cfg, comm);
         run.initialize_uniform();
         run.run(phases);
+        // the last phase may end in a migration, which zeroes u_macro
+        run.refresh_observables();
         auto stats = run.gather_stats();
         for (index_t gx = 0; gx < kRemapGrid.nx; ++gx) {
           auto w = run.gather_density_profile_y(0, gx, 2);

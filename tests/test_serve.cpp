@@ -23,6 +23,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/client.hpp"
@@ -90,20 +91,24 @@ struct CommandResult {
   std::string output;  ///< stdout + stderr
 };
 
-/// Run slipflow_submit with `args` on the small spec (written to `dir`).
-CommandResult run_submit(const std::string& dir, const std::string& args) {
-  const std::string spec = dir + "/spec.json";
-  std::ofstream(spec) << small_spec().to_json().dump();
-  const std::string cmd = std::string(SLIPFLOW_SUBMIT_EXE) +
-                          " --spec=" + spec + " " + args + " 2>&1";
+/// Run a shell command, capturing stdout + stderr and the exit code.
+CommandResult run_command(const std::string& cmd) {
   CommandResult r;
-  FILE* pipe = popen(cmd.c_str(), "r");
+  FILE* pipe = popen((cmd + " 2>&1").c_str(), "r");
   if (pipe == nullptr) return r;
   char buf[256];
   while (fgets(buf, sizeof buf, pipe) != nullptr) r.output += buf;
   const int status = pclose(pipe);
   if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
   return r;
+}
+
+/// Run slipflow_submit with `args` on the small spec (written to `dir`).
+CommandResult run_submit(const std::string& dir, const std::string& args) {
+  const std::string spec = dir + "/spec.json";
+  std::ofstream(spec) << small_spec().to_json().dump();
+  return run_command(std::string(SLIPFLOW_SUBMIT_EXE) + " --spec=" + spec +
+                     " " + args);
 }
 
 /// Thread stacks mapped in this process: a one-page PROT_NONE guard
@@ -463,6 +468,38 @@ TEST(ServeE2E, SubmitRejectsUncreatableOutDir) {
         << mode << ":\n" << r.output;
     EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
         << mode << ":\n" << r.output;
+  }
+}
+
+// Every worker output whose directory is missing fails with one line
+// naming the option, before the worker connects or computes: rank 1
+// never starts, so a worker that got as far as connecting would wait out
+// its connect timeout and exit 3.
+TEST(ServeE2E, WorkerRejectsMissingOutputDirBeforeConnecting) {
+  const std::string dir = temp_dir("worker_baddir");
+  std::ofstream(dir + "/file") << "not a directory";
+  const std::string missing = dir + "/file/sub";
+  const std::string worker = std::string(SLIPFLOW_WORKER_EXE) +
+                             " --ranks=2 --rank=0 --socket-dir=" + dir +
+                             " --connect-timeout=5 --phases=4 ";
+  const std::pair<std::string, std::string> cases[] = {
+      {"--checkpoint-out",
+       "--checkpoint-every=1 --checkpoint-out=" + missing + "/ck"},
+      {"--vtk-out", "--vtk-every=1 --vtk-out=" + missing + "/v"},
+      {"--metrics-out", "--metrics-out=" + missing + "/m.csv"},
+      {"--observables-out", "--observables-out=" + missing + "/o.txt"},
+      {"--warm-checkpoint-out",
+       "--warm-phases=2 --warm-checkpoint-out=" + missing + "/w.ckpt"},
+      {"--stream-dir", "--stream-every=1 --stream-dir=" + missing}};
+  for (const auto& [option, args] : cases) {
+    const CommandResult r = run_command(worker + args);
+    EXPECT_EQ(r.exit_code, 2) << args << ":\n" << r.output;
+    EXPECT_NE(r.output.find(option + "="), std::string::npos)
+        << args << ":\n" << r.output;
+    EXPECT_NE(r.output.find("missing or not writable"), std::string::npos)
+        << args << ":\n" << r.output;
+    EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
+        << args << ":\n" << r.output;
   }
 }
 

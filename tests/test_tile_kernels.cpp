@@ -7,7 +7,7 @@
 // density pass must be bit-identical (pure additions in a fixed order).
 // Structurally, the TileLayout must chop the plan's interior runs into
 // tiles that cover every run cell exactly once, never span a run, and
-// place the inner-force markers on the same cells as the plan's; the
+// file each plane's force tiles over the same cells as the plan's; the
 // fused kernel's write pattern replayed over tiles (plus the plan's
 // boundary links and halo pulls) must hit every fluid slot exactly
 // once. Finally a migrating multi-rank run on a SIMD backend must match
@@ -247,12 +247,11 @@ void expect_tiles_partition_runs(const StreamingPlan& plan,
   ASSERT_EQ(ri, plan.stream_interior().size());
   ASSERT_EQ(consumed, 0);
 
-  // force tiles: same partition property, plus the inner markers must
-  // cover exactly the cells of the plan's inner-run slice
+  // force tiles: same partition property, plus each plane's tile slice
+  // must cover exactly the cells of that plane's run slice
   ri = 0;
   consumed = 0;
-  index_t cells_before_inner = 0, inner_cells = 0, total = 0;
-  std::size_t ti = 0;
+  index_t total = 0;
   for (const Tile& t : layout.force_tiles()) {
     ASSERT_GE(t.count, 1);
     ASSERT_LE(t.count, kTileWidth);
@@ -261,28 +260,28 @@ void expect_tiles_partition_runs(const StreamingPlan& plan,
     ASSERT_EQ(t.cell, run.cell + consumed);
     ASSERT_LE(consumed + t.count, run.count);
     consumed += t.count;
-    if (ti < layout.force_inner_begin()) cells_before_inner += t.count;
-    if (ti >= layout.force_inner_begin() && ti < layout.force_inner_end())
-      inner_cells += t.count;
     total += t.count;
     if (consumed == run.count) {
       ++ri;
       consumed = 0;
     }
-    ++ti;
   }
   ASSERT_EQ(ri, plan.force_interior().size());
 
-  index_t run_cells_before = 0, run_inner = 0;
-  for (std::size_t i = 0; i < plan.force_interior().size(); ++i) {
-    if (i < plan.force_interior_inner_begin())
-      run_cells_before += plan.force_interior()[i].count;
-    if (i >= plan.force_interior_inner_begin() &&
-        i < plan.force_interior_inner_end())
-      run_inner += plan.force_interior()[i].count;
+  const index_t pc = plan.storage().plane_cells();
+  for (index_t lx = 1; lx <= plan.nx_local(); ++lx) {
+    const auto [tb, te] = layout.force_tile_planes().planes(lx, lx + 1);
+    const auto [rb, re] = plan.force_interior_planes().planes(lx, lx + 1);
+    index_t tile_cells = 0, run_cells = 0;
+    for (std::size_t i = tb; i < te; ++i) {
+      const Tile& t = layout.force_tiles()[i];
+      ASSERT_EQ(t.cell / pc, lx) << "tile " << i << " filed under plane " << lx;
+      tile_cells += t.count;
+    }
+    for (std::size_t i = rb; i < re; ++i)
+      run_cells += plan.force_interior()[i].count;
+    EXPECT_EQ(tile_cells, run_cells) << "plane " << lx;
   }
-  EXPECT_EQ(cells_before_inner, run_cells_before);
-  EXPECT_EQ(inner_cells, run_inner);
   EXPECT_EQ(layout.stream_cells(), [&] {
     index_t n = 0;
     for (const auto& r : plan.stream_interior()) n += r.count;
@@ -350,6 +349,71 @@ TEST(TileStructure, TilesPartitionRunsExactly) {
     }
 }
 
+namespace {
+
+/// The per-plane tile slices must partition force_tiles() in plane
+/// order, each holding exactly the tiles of its plane, and the inner
+/// planes [2, nx_local) must map to the slice the former inner markers
+/// named: from the first tile past plane 1 to the first tile of plane
+/// nx_local (no inner planes, and no markers, below two planes).
+void expect_tile_plane_index(const TileLayout& layout, const Extents& storage) {
+  const PlaneIndex& index = layout.force_tile_planes();
+  const std::vector<Tile>& tiles = layout.force_tiles();
+  const index_t nxl = storage.nx - 2;
+  const index_t pc = storage.plane_cells();
+  ASSERT_EQ(index.first.size(), static_cast<std::size_t>(nxl + 1));
+  EXPECT_EQ(index.first.front(), 0u);
+  EXPECT_EQ(index.first.back(), tiles.size());
+  for (index_t lx = 1; lx <= nxl; ++lx) {
+    const auto [b, e] = index.planes(lx, lx + 1);
+    ASSERT_LE(b, e) << "plane " << lx;
+    for (std::size_t i = b; i < e; ++i)
+      ASSERT_EQ(tiles[i].cell / pc, lx) << "tile " << i;
+  }
+  if (nxl < 2) return;
+  std::size_t before_inner = 0, before_last = 0;
+  for (const Tile& t : tiles) {
+    before_inner += t.cell / pc < 2 ? 1 : 0;
+    before_last += t.cell / pc < nxl ? 1 : 0;
+  }
+  const auto [ib, ie] = index.planes(2, nxl);
+  EXPECT_EQ(ib, before_inner);
+  EXPECT_EQ(ie, before_last);
+}
+
+}  // namespace
+
+TEST(TileStructure, PlaneIndexPartitionsForceTilesByPlane) {
+  for (const Extents& e : kGrids)
+    for (const auto& gc : kGeoCases) {
+      SCOPED_TRACE(std::string(gc.name) + " " + std::to_string(e.nx) + "x" +
+                   std::to_string(e.ny) + "x" + std::to_string(e.nz));
+      const auto geom = make_geom(gc, e);
+      for (index_t nx_local : {e.nx, index_t{2}, index_t{1}}) {
+        const StreamingPlan plan(*geom, 0, nx_local);
+        expect_tile_plane_index(TileLayout(plan), plan.storage());
+      }
+
+      // a plane migration drops both layouts; the rebuilt ones must
+      // index exactly like layouts built fresh on the new extents
+      const FluidParams params = make_params(2, CollisionModel::bgk, gc);
+      Slab left(geom, params, 0, e.nx - 1);
+      Slab right(geom, params, e.nx - 1, 1);
+      (void)left.tiles();
+      (void)right.tiles();
+      std::vector<double> buf(
+          static_cast<std::size_t>(left.migration_doubles(1)));
+      left.detach_planes(Side::right, 1, buf);
+      right.attach_planes(Side::left, 1, buf);
+      for (const Slab* slab : {&left, &right}) {
+        expect_tile_plane_index(slab->tiles(), slab->storage());
+        const StreamingPlan fresh(*geom, slab->x_begin(), slab->nx_local());
+        EXPECT_EQ(slab->tiles().force_tile_planes().first,
+                  TileLayout(fresh).force_tile_planes().first);
+      }
+    }
+}
+
 TEST(TileStructure, EveryFluidSlotWrittenExactlyOnceViaTiles) {
   for (const Extents& e : kGrids)
     for (const auto& gc : kGeoCases) {
@@ -405,6 +469,8 @@ TEST(TileKernels, ParallelSimdRunMatchesSequentialScalar) {
     sim::ParallelLbm run(cfg, comm);
     run.initialize_uniform();
     run.run(phases);
+    // the last phase may end in a migration, which zeroes u_macro
+    run.refresh_observables();
     auto stats = run.gather_stats();
     for (index_t gx = 0; gx < grid.nx; ++gx) {
       auto w = run.gather_density_profile_y(0, gx, 2);
