@@ -8,14 +8,14 @@
 ///
 ///   usage: fig08_speedup_efficiency [--phases=20000] [--csv=path]
 ///
-/// --transport=socket switches to a companion measurement on this
-/// machine: the same ParallelLbm phase loop timed over in-process
-/// ThreadComm vs real forked slipflow_worker processes on Unix-domain
-/// sockets, so the thread-vs-process transport overhead is tracked
-/// across PRs (written to BENCH_fig08_socket.json).
+/// --transport=shm switches to a companion measurement on this machine:
+/// the same ParallelLbm phase loop timed over in-process ThreadComm vs
+/// real forked slipflow_worker processes on shared-memory rings, best of
+/// --reps runs per point, so the thread-vs-process transport overhead is
+/// tracked across PRs (written to BENCH_fig08_shm.json).
 ///
-///   usage: fig08_speedup_efficiency --transport=socket [--phases=150]
-///            [--max-ranks=4] [--nx=48] [--ny=16] [--nz=8]
+///   usage: fig08_speedup_efficiency --transport=shm [--phases=150]
+///            [--max-ranks=4] [--reps=3] [--nx=48] [--ny=16] [--nz=8]
 ///
 /// --transport=overlap measures the hybrid runner on this machine: the
 /// blocking vs overlapped step schedule over ThreadComm at 1/2/4 ranks,
@@ -26,21 +26,10 @@
 ///
 ///   usage: fig08_speedup_efficiency --transport=overlap [--phases=150]
 ///            [--max-ranks=4] [--nx=48] [--ny=16] [--nz=8]
-///
-/// --transport=shm races the two real-process transports against each
-/// other: the same forked workers over Unix-domain sockets vs over
-/// shared-memory rings, best of --reps launches per point (written to
-/// BENCH_fig08_shm.json). --require-shm-speedup=R exits nonzero when
-/// shm fails to beat socket by factor R at the top rank count — the CI
-/// guard that keeps the zero-copy path actually worth having.
-///
-///   usage: fig08_speedup_efficiency --transport=shm [--phases=150]
-///            [--max-ranks=4] [--reps=3] [--require-shm-speedup=1.0]
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <utility>
 
 #include "bench_common.hpp"
 #include "cluster/scenario.hpp"
@@ -147,13 +136,11 @@ int run_overlap_mode(const util::Options& opts) {
 }
 
 /// The same run as real processes through the launcher; elapsed time
-/// includes fork+exec, the rendezvous and teardown. `transport` is
-/// "socket" or "shm".
-double time_over_processes(const lbm::Extents& global, int ranks, int phases,
-                           const std::string& transport = "socket") {
+/// includes fork+exec, the ring rendezvous and teardown.
+double time_over_processes(const lbm::Extents& global, int ranks,
+                           int phases) {
   transport::LaunchConfig lc;
   lc.ranks = ranks;
-  lc.transport = transport;
   lc.worker_command = {SLIPFLOW_WORKER_EXE,
                        "--nx=" + std::to_string(global.nx),
                        "--ny=" + std::to_string(global.ny),
@@ -167,89 +154,19 @@ double time_over_processes(const lbm::Extents& global, int ranks, int phases,
   lc.wall_clock_timeout = 300.0;
   const transport::LaunchResult res = transport::launch_workers(lc);
   if (!res.ok) {
-    std::cerr << transport << " run failed: " << res.diagnostic << "\n";
+    std::cerr << "process run failed: " << res.diagnostic << "\n";
     std::exit(1);
   }
   return res.elapsed_seconds;
 }
 
-/// Best of `reps` launches for each transport, interleaved
-/// socket/shm/socket/shm so a burst of machine load cannot poison all of
-/// one transport's samples; the minimum is the honest transport floor.
-std::pair<double, double> best_process_pair(const lbm::Extents& global,
-                                            int ranks, int phases, int reps) {
-  double socket = time_over_processes(global, ranks, phases, "socket");
-  double shm = time_over_processes(global, ranks, phases, "shm");
-  for (int i = 1; i < reps; ++i) {
-    socket = std::min(socket,
-                      time_over_processes(global, ranks, phases, "socket"));
-    shm = std::min(shm, time_over_processes(global, ranks, phases, "shm"));
-  }
-  return {socket, shm};
-}
-
-/// Socket vs shared-memory rings, same worker binary, same problem: the
-/// zero-copy transport must not be slower where it matters (>= 4 ranks
-/// on one machine is exactly its target deployment).
-int run_shm_mode(const util::Options& opts) {
+/// Threads vs forked shm workers, same problem: best of `reps` runs of
+/// each, interleaved thread/process/thread/process so a burst of machine
+/// load cannot poison all of one column's samples.
+int run_process_mode(const util::Options& opts) {
   const int phases = static_cast<int>(opts.get("phases", 150LL));
   const int max_ranks = static_cast<int>(opts.get("max-ranks", 4LL));
   const int reps = static_cast<int>(opts.get("reps", 3LL));
-  const double require = opts.get("require-shm-speedup", 0.0);
-  const lbm::Extents global{opts.get("nx", 48LL), opts.get("ny", 16LL),
-                            opts.get("nz", 8LL)};
-  bench::check_options(opts);
-
-  util::Table table("Figure 8 companion — socket vs shared-memory-ring "
-                    "halo transport (" + std::to_string(phases) +
-                    " phases, " + std::to_string(global.nx) + "x" +
-                    std::to_string(global.ny) + "x" +
-                    std::to_string(global.nz) + ", best of " +
-                    std::to_string(reps) + ")");
-  table.header({"ranks", "thread_seconds", "socket_seconds", "shm_seconds",
-                "shm_speedup"});
-
-  bench::Summary summary("fig08_shm");
-  summary.add("phases", static_cast<long long>(phases));
-  summary.add("nx", static_cast<long long>(global.nx));
-  summary.add("reps", static_cast<long long>(reps));
-  double top_speedup = 0.0;
-  for (int p = 2; p <= max_ranks; p *= 2) {
-    const double threads = time_over_threads(global, p, phases);
-    const auto [socket, shm] = best_process_pair(global, p, phases, reps);
-    const double speedup = shm > 0.0 ? socket / shm : 0.0;
-    table.row({static_cast<long long>(p), threads, socket, shm, speedup});
-    if (p == max_ranks) {
-      summary.add("socket_seconds", socket);
-      summary.add("shm_seconds", shm);
-      summary.add("shm_speedup", speedup);
-      top_speedup = speedup;
-    }
-  }
-  bench::emit(table, opts);
-  summary.add_table("transport", table);
-  summary.write(opts);
-
-  std::cout << "shm_speedup = socket / shm wall time (same forked workers, "
-               "same physics — see test_multiprocess for the byte-identity "
-               "proof); both carry fork+exec and rendezvous, so the ratio "
-               "isolates the transport itself.\n";
-  if (require > 0.0) {
-    if (top_speedup < require) {
-      std::cerr << "FAIL: shm speedup over socket at " << max_ranks
-                << " ranks is " << top_speedup << ", required >= " << require
-                << "\n";
-      return 1;
-    }
-    std::cout << "shm speedup guard passed: " << top_speedup
-              << " >= " << require << " at " << max_ranks << " ranks\n";
-  }
-  return 0;
-}
-
-int run_socket_mode(const util::Options& opts) {
-  const int phases = static_cast<int>(opts.get("phases", 150LL));
-  const int max_ranks = static_cast<int>(opts.get("max-ranks", 4LL));
   const lbm::Extents global{opts.get("nx", 48LL), opts.get("ny", 16LL),
                             opts.get("nz", 8LL)};
   bench::check_options(opts);
@@ -258,25 +175,36 @@ int run_socket_mode(const util::Options& opts) {
                     "overhead (" + std::to_string(phases) + " phases, " +
                     std::to_string(global.nx) + "x" +
                     std::to_string(global.ny) + "x" +
-                    std::to_string(global.nz) + ")");
+                    std::to_string(global.nz) + ", best of " +
+                    std::to_string(reps) + ")");
   table.header({"ranks", "thread_seconds", "process_seconds",
                 "process_over_thread"});
 
-  bench::Summary summary("fig08_socket");
+  bench::Summary summary("fig08_shm");
   summary.add("phases", static_cast<long long>(phases));
   summary.add("nx", static_cast<long long>(global.nx));
+  summary.add("reps", static_cast<long long>(reps));
   for (int p = 1; p <= max_ranks; p *= 2) {
-    const double threads = time_over_threads(global, p, phases);
-    const double procs = time_over_processes(global, p, phases);
-    table.row({static_cast<long long>(p), threads, procs,
-               threads > 0.0 ? procs / threads : 0.0});
+    double threads = time_over_threads(global, p, phases);
+    double procs = time_over_processes(global, p, phases);
+    for (int i = 1; i < reps; ++i) {
+      threads = std::min(threads, time_over_threads(global, p, phases));
+      procs = std::min(procs, time_over_processes(global, p, phases));
+    }
+    const double ratio = threads > 0.0 ? procs / threads : 0.0;
+    table.row({static_cast<long long>(p), threads, procs, ratio});
+    if (p == max_ranks) {
+      summary.add("thread_seconds", threads);
+      summary.add("process_seconds", procs);
+      summary.add("process_over_thread", ratio);
+    }
   }
   bench::emit(table, opts);
   summary.add_table("overhead", table);
   summary.write(opts);
 
-  std::cout << "process runs carry fork+exec, Unix-socket rendezvous and "
-               "frame encode/decode on top of the shared-memory thread "
+  std::cout << "process runs carry fork+exec, the ring rendezvous and "
+               "frame encode/decode on top of the in-process thread "
                "backend; physics is byte-identical (see test_multiprocess).\n";
   return 0;
 }
@@ -286,12 +214,11 @@ int run_socket_mode(const util::Options& opts) {
 int main(int argc, char** argv) {
   const auto opts = util::Options::parse(argc, argv);
   const std::string transport = opts.get("transport", std::string("virtual"));
-  if (transport == "socket") return run_socket_mode(opts);
   if (transport == "overlap") return run_overlap_mode(opts);
-  if (transport == "shm") return run_shm_mode(opts);
+  if (transport == "shm") return run_process_mode(opts);
   if (transport != "virtual") {
     std::cerr << "unknown --transport=" << transport
-              << " (expected virtual|socket|overlap|shm)\n";
+              << " (expected virtual|overlap|shm)\n";
     return 2;
   }
 

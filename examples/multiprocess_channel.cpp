@@ -1,12 +1,12 @@
 /// The parallel program as REAL processes: the launcher forks+execs
-/// `slipflow_worker` ranks wired over Unix-domain sockets, supervises
+/// `slipflow_worker` ranks wired over shared-memory rings, supervises
 /// them with heartbeats, and (optionally) injects a kill-rank fault to
 /// demonstrate the named-rank diagnostic instead of a hang.
 ///
 ///   build/examples/multiprocess_channel [--ranks=4] [--phases=200]
 ///       [--policy=filtered] [--nx=32] [--slow-rank=1] [--slow-factor=3]
 ///       [--threads=2] [--step=overlap|blocking]
-///       [--transport=socket|shm|auto] [--shm-ring-bytes=1048576]
+///       [--shm-ring-bytes=1048576]
 ///       [--fault-kill-rank=2 --fault-kill-phase=20 --expect-failure]
 ///
 /// With --expect-failure the program exits 0 exactly when the launcher
@@ -44,9 +44,6 @@ int main(int argc, char** argv) {
   const double heartbeat_grace = opts.get("heartbeat-grace", 10.0);
   const long long threads = opts.get("threads", 1LL);
   const std::string step = opts.get("step", std::string("overlap"));
-  // socket | shm | auto — forwarded to every worker (see sim/worker.cpp)
-  const std::string transport =
-      opts.get("transport", std::string("socket"));
   const long long shm_ring_bytes = opts.get("shm-ring-bytes", 0LL);
   const std::string worker =
       opts.get("worker", std::string(SLIPFLOW_WORKER_EXE));
@@ -77,7 +74,6 @@ int main(int argc, char** argv) {
   lc.heartbeat_interval = heartbeat_interval;
   lc.heartbeat_grace = heartbeat_grace;
   lc.wall_clock_timeout = wall_timeout;
-  lc.transport = transport;
   lc.shm_ring_bytes = shm_ring_bytes;
   if (kill_rank >= 0 && kill_phase >= 0)
     lc.extra_args[kill_rank] = {"--fault-kill-phase=" +

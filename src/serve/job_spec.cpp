@@ -86,9 +86,7 @@ JobSpec JobSpec::from_json(const JsonValue& v) {
   require(s.nx >= s.ranks, "nx must be >= ranks (one plane per rank)");
   require(s.step == "overlap" || s.step == "blocking",
           "step must be \"overlap\" or \"blocking\"");
-  require(s.transport == "socket" || s.transport == "shm" ||
-              s.transport == "auto",
-          "transport must be \"socket\", \"shm\" or \"auto\"");
+  require(s.transport == "shm", "transport must be \"shm\"");
   require(s.observables == "physics" || s.observables == "full",
           "observables must be \"physics\" or \"full\"");
   require(s.warm_phases >= 0 && s.warm_phases <= s.phases,
@@ -170,7 +168,6 @@ transport::LaunchConfig make_launch_config(const JobSpec& spec,
   const auto num = [](double v) { return util::json_number(v); };
   transport::LaunchConfig lc;
   lc.ranks = spec.ranks;
-  lc.transport = spec.transport;
   lc.shm_ring_bytes = spec.shm_ring_bytes;
   lc.heartbeat_interval = spec.heartbeat_interval;
   lc.heartbeat_grace = spec.heartbeat_grace;
@@ -211,9 +208,8 @@ transport::LaunchConfig make_launch_config(const JobSpec& spec,
     lc.worker_command.push_back("--checkpoint-every=" +
                                 std::to_string(spec.checkpoint_every));
     lc.worker_command.push_back("--checkpoint-out=" + paths.checkpoint_prefix);
-    // Recovery seeds only from complete files: atomic publication is a
-    // sync-path property, so force --io=sync for checkpointing jobs.
-    lc.worker_command.push_back("--checkpoint-atomic");
+    // Recovery seeds only from complete files: only the synchronous
+    // save_checkpoint publishes by rename, so force --io=sync.
     lc.worker_command.push_back("--io=sync");
   }
   if (spec.fault_kill_rank >= 0 && spec.fault_kill_rank < spec.ranks &&

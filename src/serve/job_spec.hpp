@@ -47,7 +47,9 @@ struct JobSpec {
   long long min_transfer = 24;
   int threads = 1;
   std::string step = "overlap";  ///< "overlap" | "blocking"
-  std::string transport = "socket";  ///< "socket" | "shm" | "auto"
+  /// Only "shm" is accepted; the member survives so existing specs that
+  /// name their transport keep parsing.
+  std::string transport = "shm";
   long long shm_ring_bytes = 0;
 
   // --- service options ---
@@ -82,8 +84,8 @@ struct JobSpec {
   /// physical parameters and the warm phase count — and nothing else.
   /// Ranks, transport, policy, threads and step mode are deliberately
   /// absent: the equilibrated state is invariant to all of them, so a
-  /// warm checkpoint produced by a 2-rank socket job seeds a 4-rank shm
-  /// job of the same physics.
+  /// warm checkpoint produced by a 2-rank job seeds a 4-rank job of the
+  /// same physics.
   std::string warm_key() const;
 };
 
@@ -98,11 +100,11 @@ struct JobPaths {
 };
 
 /// Lower a spec to the launch configuration: worker argv (including the
-/// path-shaped flags from `paths`), supervision budgets, transport.
+/// path-shaped flags from `paths`), supervision budgets, ring size.
 /// When the spec requests recovery checkpoints the worker is forced to
-/// --io=sync --checkpoint-atomic: only the synchronous path publishes
-/// checkpoints via rename, and recovery must never seed from a torn
-/// file. Fault-injection fields become extra_args for the guilty rank.
+/// --io=sync: only the synchronous path publishes checkpoints via
+/// rename, and recovery must never seed from a torn file.
+/// Fault-injection fields become extra_args for the guilty rank.
 transport::LaunchConfig make_launch_config(const JobSpec& spec,
                                            const std::string& worker_exe,
                                            const JobPaths& paths);

@@ -7,7 +7,7 @@
 /// control socket (protocol.hpp). Each accepted job is validated
 /// against the admission policy, queued, and scheduled onto the slot
 /// pool; a running job gets its own isolated worker mesh — a fresh
-/// socket/shm directory per launch, courtesy of launch_workers — so
+/// ring directory per launch, courtesy of launch_workers — so
 /// concurrent tenants can never cross wires. The launcher's heartbeat
 /// supervision turns worker crashes and freezes into named diagnostics;
 /// the server then recovers the job from its newest complete

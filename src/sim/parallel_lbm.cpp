@@ -191,13 +191,18 @@ void ParallelLbm::run(int phases) {
     pool_ = std::make_unique<util::ThreadPool>(cfg_.threads);
     thread_cells_.assign(static_cast<std::size_t>(cfg_.threads), 0.0);
   }
+  // A pure function of config and the phase index, so every rank takes
+  // the same branches below and the collectives stay matched.
+  const auto remaps_after = [this](int p) {
+    return cfg_.policy != "none" && p % cfg_.remap_interval == 0;
+  };
   for (int p = 1; p <= phases; ++p) {
     prof_->begin_phase(++phases_done_);
     comm_.note_progress(phases_done_);
     step();
 
     // --- lattice point remapping --- (lines 20-32)
-    if (cfg_.policy != "none" && p % cfg_.remap_interval == 0) {
+    if (remaps_after(p)) {
       const double r0 = prof_->now();
       remap_step();
       const double r1 = prof_->now();
@@ -246,6 +251,9 @@ void ParallelLbm::run(int phases) {
                thread_cells_[lane]);
     thread_cells_[lane] = 0.0;
   }
+  // A migration in the last phase left the mixture velocity zeroed;
+  // rebuild it so the caller reads real profiles right after run().
+  if (phases > 0 && remaps_after(phases)) refresh_observables();
 }
 
 void ParallelLbm::finish_phase(double phase_begin, double t, double compute) {
@@ -362,20 +370,10 @@ void ParallelLbm::write_outputs() {
   const std::string tag = std::to_string(phases_done_);
   if (ckpt) {
     const std::string path = out.checkpoint_prefix + "." + tag + ".ckpt";
-    if (out.async) {
+    if (out.async)
       save_checkpoint_async(path, phases_done_);
-    } else if (out.atomic_checkpoints) {
-      // save_checkpoint's final barrier guarantees every rank's planes
-      // are on disk before rank 0 publishes the file under its real
-      // name; readers (the server's recovery scan) only ever see
-      // complete checkpoints.
-      save_checkpoint(path + ".tmp", phases_done_);
-      if (comm_.rank() == 0 &&
-          std::rename((path + ".tmp").c_str(), path.c_str()) != 0)
-        throw transport::comm_error("cannot publish checkpoint " + path);
-    } else {
+    else
       save_checkpoint(path, phases_done_);
-    }
   }
   if (vtk) {
     const std::string path = out.vtk_prefix + "." + tag + ".r" +
@@ -660,13 +658,17 @@ std::vector<double> ParallelLbm::global_masses_ordered() {
 
 void ParallelLbm::save_checkpoint(const std::string& path, long long phase) {
   SLIPFLOW_REQUIRE_MSG(initialized_, "nothing to checkpoint yet");
+  const std::string tmp = path + ".tmp";
   if (comm_.rank() == 0) {
     lbm::begin_checkpoint(cfg_.global, slab_->num_components(), phase,
-                          slab_->migration_doubles(1), path);
+                          slab_->migration_doubles(1), tmp);
   }
   comm_.barrier();  // the file must exist before anyone writes planes
-  lbm::write_checkpoint_planes(*slab_, path);
-  comm_.barrier();  // and be complete before anyone reads it back
+  lbm::write_checkpoint_planes(*slab_, tmp);
+  comm_.barrier();  // every rank's planes are on disk
+  if (comm_.rank() == 0 && std::rename(tmp.c_str(), path.c_str()) != 0)
+    throw transport::comm_error("cannot publish checkpoint " + path);
+  comm_.barrier();  // and published before anyone reads it back
 }
 
 long long ParallelLbm::load_checkpoint(const std::string& path) {

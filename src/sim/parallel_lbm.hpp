@@ -58,14 +58,9 @@ struct OutputOptions {
   /// <vtk_prefix>.<P>.r<R>.vtk (per-rank tiles; see lbm/vtk.hpp).
   int vtk_every = 0;
   std::string vtk_prefix;
-  /// false = write inline (synchronous), for contrast and debugging.
+  /// false = write inline (synchronous) through save_checkpoint, whose
+  /// atomic publication the campaign server's crash recovery relies on.
   bool async = true;
-  /// Tear-proof periodic checkpoints (sync path only): planes go to
-  /// <path>.tmp and rank 0 renames after the completion barrier, so a
-  /// crash mid-write can never leave a full-sized file of half-written
-  /// planes under the final name. The campaign server requires this for
-  /// the checkpoints its crash recovery restarts from.
-  bool atomic_checkpoints = false;
 };
 
 struct RunnerConfig {
@@ -133,6 +128,8 @@ class ParallelLbm {
   void initialize_uniform();
 
   /// Advance `phases` phases, remapping on the configured interval.
+  /// When the last phase ran the remapping step, ends with
+  /// refresh_observables(), so the profiles are readable right away.
   void run(int phases);
 
   const lbm::Slab& slab() const { return *slab_; }
@@ -154,8 +151,8 @@ class ParallelLbm {
   /// restore that stepped zero phases) would otherwise report zero
   /// velocity profiles. The recompute is a per-cell function of state
   /// that IS migration-invariant, and on an unmigrated slab it is
-  /// byte-idempotent (same inputs, same kernel, same order) — call it
-  /// before collecting profile observables.
+  /// byte-idempotent (same inputs, same kernel, same order). run() calls
+  /// it itself when its last phase remapped; call it after a restore.
   void refresh_observables();
 
   /// Gather a full-domain y-profile on rank 0 (empty on other ranks).
@@ -178,9 +175,12 @@ class ParallelLbm {
   /// differs.
   std::vector<double> global_masses_ordered();
 
-  /// Collective checkpoint: rank 0 creates the file, then every rank
-  /// writes its own plane range. Because the format is per-plane, the
-  /// checkpoint can later be restored on a *different* number of ranks.
+  /// Collective checkpoint: rank 0 creates <path>.tmp, every rank writes
+  /// its own plane range into it, and after the completion barrier rank
+  /// 0 renames it to `path` (then a final barrier). A crash mid-write
+  /// can never leave a full-sized file of half-written planes under the
+  /// final name. Because the format is per-plane, the checkpoint can
+  /// later be restored on a *different* number of ranks.
   void save_checkpoint(const std::string& path, long long phase = 0);
 
   /// Collective restore: every rank loads the planes of its current

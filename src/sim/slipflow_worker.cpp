@@ -1,4 +1,4 @@
-/// slipflow_worker — one rank of the parallel LBM over SocketComm.
+/// slipflow_worker — one rank of the parallel LBM over ShmComm.
 /// Launched by transport::launch_workers; see sim/worker.cpp for flags.
 
 #include "sim/worker.hpp"

@@ -16,7 +16,6 @@
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "transport/shm_comm.hpp"
-#include "transport/socket_comm.hpp"
 #include "util/json.hpp"
 #include "util/options.hpp"
 
@@ -122,24 +121,17 @@ int worker_main(int argc, const char* const* argv) {
   // --- transport ---
   const int rank = static_cast<int>(opts.get("rank", 0LL));
   const int nranks = static_cast<int>(opts.get("ranks", 1LL));
-  transport::SocketCommConfig sc;
+  transport::ShmCommConfig sc;
   sc.rank = rank;
   sc.nranks = nranks;
   sc.dir = opts.get("socket-dir", std::string{});
   sc.connect_timeout = opts.get("connect-timeout", 10.0);
   sc.comm.recv_timeout = opts.get("recv-timeout", 30.0);
+  sc.session = static_cast<std::uint64_t>(opts.get("shm-session", 0LL));
+  if (const long long ring = opts.get("shm-ring-bytes", 0LL); ring > 0)
+    sc.ring_bytes = static_cast<std::size_t>(ring);
   sc.heartbeat_path = opts.get("heartbeat-sock", std::string{});
   sc.heartbeat_interval = opts.get("heartbeat-interval", 0.25);
-  // socket = Unix-domain sockets (default), shm = mmap'd rings,
-  // auto = shm when the socket dir can host mmap'd segments.
-  const std::string transport = opts.get("transport", std::string("socket"));
-  const long long shm_session = opts.get("shm-session", 0LL);
-  const long long shm_ring_bytes = opts.get("shm-ring-bytes", 0LL);
-  if (transport != "socket" && transport != "shm" && transport != "auto") {
-    std::fprintf(stderr, "rank %d: unknown --transport=%s\n", rank,
-                 transport.c_str());
-    return 2;
-  }
 
   // --- fault injection ---
   sc.fault.kill_at_phase = opts.get("fault-kill-phase", -1LL);
@@ -255,7 +247,6 @@ int worker_main(int argc, const char* const* argv) {
   const std::string warm_out = opts.get("warm-checkpoint-out", std::string{});
   const long long stream_every = opts.get("stream-every", 0LL);
   const std::string stream_dir = opts.get("stream-dir", std::string{});
-  cfg.output.atomic_checkpoints = opts.get("checkpoint-atomic", false);
   const std::string obs_set_name =
       opts.get("observables", std::string("full"));
   ObservableSet obs_set = ObservableSet::full;
@@ -319,40 +310,10 @@ int worker_main(int argc, const char* const* argv) {
   try {
     obs::MetricsRegistry reg(nranks);  // only shard `rank` is written here
     cfg.metrics = &reg;
+    sc.metrics = &reg;
+    transport::ShmComm comm(sc);
 
-    // Every rank resolves "auto" from the same filesystem probe, so the
-    // choice is identical across the launch without any coordination.
-    std::string chosen = transport;
-    if (chosen == "auto")
-      chosen = transport::shm_dir_usable(sc.dir) ? "shm" : "socket";
-    std::unique_ptr<transport::Communicator> comm;
-    transport::SocketComm* socket_comm = nullptr;
-    transport::ShmComm* shm_comm = nullptr;
-    if (chosen == "shm") {
-      transport::ShmCommConfig hc;
-      hc.rank = rank;
-      hc.nranks = nranks;
-      hc.dir = sc.dir;
-      hc.comm = sc.comm;
-      hc.connect_timeout = sc.connect_timeout;
-      if (shm_ring_bytes > 0)
-        hc.ring_bytes = static_cast<std::size_t>(shm_ring_bytes);
-      hc.session = static_cast<std::uint64_t>(shm_session);
-      hc.heartbeat_path = sc.heartbeat_path;
-      hc.heartbeat_interval = sc.heartbeat_interval;
-      hc.fault = sc.fault;
-      hc.metrics = &reg;
-      auto c = std::make_unique<transport::ShmComm>(hc);
-      shm_comm = c.get();
-      comm = std::move(c);
-    } else {
-      sc.metrics = &reg;
-      auto c = std::make_unique<transport::SocketComm>(sc);
-      socket_comm = c.get();
-      comm = std::move(c);
-    }
-
-    ParallelLbm run(cfg, *comm);
+    ParallelLbm run(cfg, comm);
     long long start_phase = 0;
     if (!load_ck.empty())
       start_phase = run.load_checkpoint(load_ck);
@@ -374,31 +335,25 @@ int worker_main(int argc, const char* const* argv) {
         next = std::min(next, (at / stream_every + 1) * stream_every);
       run.run(static_cast<int>(next - at));
       at = next;
-      if (!warm_out.empty() && at == warm_phases) {
-        // Published atomically: save_checkpoint's final barrier puts
-        // every rank's planes on disk before rank 0 renames, so the
-        // warm cache can never promote a torn equilibration state.
-        run.save_checkpoint(warm_out + ".tmp", at);
-        if (comm->rank() == 0 &&
-            std::rename((warm_out + ".tmp").c_str(), warm_out.c_str()) != 0)
-          throw transport::comm_error("cannot publish " + warm_out);
-      }
+      // save_checkpoint publishes atomically, so the warm cache can
+      // never promote a torn equilibration state.
+      if (!warm_out.empty() && at == warm_phases)
+        run.save_checkpoint(warm_out, at);
       if (stream_every > 0 && at % stream_every == 0 && at < phases)
-        write_stream_fragment(run, *comm, at, stream_dir, trace_cursor);
+        write_stream_fragment(run, comm, at, stream_dir, trace_cursor);
     }
     // Final fragment: flushes the last segment's trace spans.
     if (stream_every > 0)
-      write_stream_fragment(run, *comm, at, stream_dir, trace_cursor);
+      write_stream_fragment(run, comm, at, stream_dir, trace_cursor);
     const std::string observables =
-        collect_observables(run, *comm, cfg.global, obs_set);
-    if (socket_comm != nullptr) socket_comm->publish_stats();
-    if (shm_comm != nullptr) shm_comm->publish_stats();
+        collect_observables(run, comm, cfg.global, obs_set);
+    comm.publish_stats();
 
     if (cfg.output.async) {
       // Same background-writer path the runner uses for checkpoints/VTK;
       // flush() below is the rendezvous before the final barrier.
       obs::AsyncWriter writer;
-      if (!observables_out.empty() && comm->rank() == 0)
+      if (!observables_out.empty() && comm.rank() == 0)
         writer.submit_file(observables_out, observables);
       if (!metrics_out.empty()) {
         std::ostringstream csv;
@@ -407,7 +362,7 @@ int worker_main(int argc, const char* const* argv) {
       }
       writer.flush();
     } else {
-      if (!observables_out.empty() && comm->rank() == 0) {
+      if (!observables_out.empty() && comm.rank() == 0) {
         std::ofstream f(observables_out, std::ios::binary | std::ios::trunc);
         if (!f)
           throw transport::comm_error("cannot write " + observables_out);
@@ -421,7 +376,7 @@ int worker_main(int argc, const char* const* argv) {
     }
     // Final barrier so no rank tears down its endpoint while a peer is
     // still mid-collective.
-    comm->barrier();
+    comm.barrier();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "rank %d: %s\n", rank, e.what());
     return 3;

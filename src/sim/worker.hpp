@@ -1,13 +1,13 @@
 #pragma once
 /// \file worker.hpp
-/// The `slipflow_worker` process: one rank of the parallel LBM over the
-/// socket transport. The launcher (transport/launcher.hpp) forks+execs N
-/// of these; each connects the SocketComm mesh, runs ParallelLbm, and
+/// The `slipflow_worker` process: one rank of the parallel LBM over
+/// ShmComm. The launcher (transport/launcher.hpp) forks+execs N of
+/// these; each maps its shared-memory rings, runs ParallelLbm, and
 /// optionally writes observables (rank 0) and per-rank metrics.
 ///
 /// worker_main is the real entry point, kept in the library so tests can
 /// exercise flag parsing, and so the observable collection below is the
-/// same code in-process (ThreadComm) and out-of-process (SocketComm) —
+/// same code in-process (ThreadComm) and out-of-process (ShmComm) —
 /// which is exactly what the byte-identical determinism test compares.
 
 #include <string>

@@ -1,13 +1,12 @@
 #pragma once
 /// \file collectives.hpp
 /// Deterministic collectives built from point-to-point send/recv,
-/// shared by the real-process transports (SocketComm, ShmComm).
+/// used by the real-process transport (ShmComm).
 ///
 /// allgather runs as a binomial gather tree to rank 0 followed by a
 /// binomial broadcast, concatenating contributions in rank order — the
-/// exact layout ThreadComm's shared-memory allgather produces. Because
-/// both process transports delegate here, their collective results are
-/// byte-identical to each other by construction, not by coincidence.
+/// exact layout ThreadComm's shared-memory allgather produces, so ShmComm's
+/// collective results are byte-identical to ThreadComm's.
 
 #include <map>
 #include <span>

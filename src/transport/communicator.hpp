@@ -9,8 +9,12 @@
 ///
 ///   SerialComm  — one rank, collectives are identities (serial_comm.hpp)
 ///   ThreadComm  — threads-as-ranks in one process (thread_comm.hpp)
-///   SocketComm  — real processes over Unix-domain sockets with
-///                 length-prefixed frames (socket_comm.hpp)
+///   ShmComm     — ranks over mmap'd ring buffers with length-prefixed
+///                 frames; the transport of every forked or launched
+///                 run (shm_comm.hpp)
+///
+/// Serial and Thread are the in-process transports; ShmComm also runs
+/// on threads (run_ranks_shm) so the sanitizers can follow it.
 ///
 /// Sends are buffered (they never block on the receiver), so the
 /// neighbor-exchange pattern "send left, send right, recv left, recv
@@ -32,7 +36,7 @@ namespace slipflow::transport {
 
 /// Message tags used by the parallel LBM runner; user code may use any
 /// other non-negative values. Negative tags are reserved for transport
-/// internals (SocketComm's collective trees).
+/// internals (ShmComm's collective trees).
 enum Tag : int {
   kTagFHalo = 1,
   kTagDensityHalo = 2,
@@ -68,8 +72,8 @@ struct CommOptions {
 /// Pending nonblocking receive posted with Communicator::irecv.
 ///
 /// test() is a nonblocking probe: it drives whatever progress the
-/// backend needs (SocketComm pumps its poll() engine with a zero
-/// timeout), claims the oldest matching message if one has arrived, and
+/// backend needs (ShmComm drains its inbound rings without
+/// waiting), claims the oldest matching message if one has arrived, and
 /// returns whether the receive is complete. Once it has returned true it
 /// stays true. wait() blocks until completion and returns the payload;
 /// it honors the communicator's recv_timeout and throws the same
@@ -149,7 +153,7 @@ class Communicator {
   }
 
   /// Progress note for external monitors: the application's current
-  /// phase. SocketComm forwards it on its heartbeat channel (and applies
+  /// phase. ShmComm forwards it on its heartbeat channel (and applies
   /// phase-triggered fault injection); other backends ignore it.
   virtual void note_progress(long long phase) { (void)phase; }
 };

@@ -1,9 +1,8 @@
 #pragma once
 /// \file fault.hpp
-/// Deterministic fault injection shared by the real-process transports
-/// (SocketComm over Unix-domain sockets, ShmComm over shared-memory
-/// rings). All triggers are counted/phase-based, never randomized, so a
-/// failing run replays exactly.
+/// Deterministic fault injection of the real-process transport (ShmComm
+/// over shared-memory rings). All triggers are counted/phase-based,
+/// never randomized, so a failing run replays exactly.
 
 namespace slipflow::transport {
 

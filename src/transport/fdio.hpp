@@ -1,31 +1,22 @@
 #pragma once
 /// \file fdio.hpp
-/// Low-level file-descriptor and frame I/O shared by the transports:
-/// monotonic time, errno-to-comm_error conversion, Unix-domain socket
-/// setup (listener / dial-with-retry), bounded exact reads and writes,
-/// and blocking frame send/recv for connection setup and heartbeats.
-///
-/// These were born inside socket_comm.cpp; they live here so the
-/// shared-memory transport (shm_comm.cpp) can reuse the heartbeat and
-/// rendezvous plumbing, and the launcher the nonblocking-fd setup,
-/// without duplicating the error handling.
+/// Low-level file-descriptor helpers shared by the transport layer:
+/// monotonic time, errno-to-comm_error conversion, and the Unix-domain
+/// socket setup of the launcher's heartbeat channel (the monitor
+/// listener, the workers' dial-with-retry, nonblocking fds).
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <span>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "transport/frame.hpp"
+#include "transport/communicator.hpp"
 
 namespace slipflow::transport::fdio {
 
@@ -88,81 +79,6 @@ inline int connect_retry(const std::string& path, double deadline,
       throw comm_timeout(who + ": connect to " + path + " timed out");
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-}
-
-/// Wait (bounded) until fd is ready for `events`; throws comm_timeout
-/// naming `what` on expiry.
-inline void wait_ready(int fd, short events, double deadline,
-                       const std::string& what) {
-  for (;;) {
-    const double remaining = deadline - mono_now();
-    if (remaining <= 0.0) throw comm_timeout(what + ": timed out");
-    pollfd p{fd, events, 0};
-    const int rc = ::poll(&p, 1, static_cast<int>(remaining * 1000) + 1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("poll(" + what + ")");
-    }
-    if (rc > 0) return;
-  }
-}
-
-inline void write_exact(int fd, const std::byte* data, std::size_t n,
-                        double deadline, const std::string& what) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
-    if (w > 0) {
-      off += static_cast<std::size_t>(w);
-      continue;
-    }
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      wait_ready(fd, POLLOUT, deadline, what);
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
-    throw_errno("send(" + what + ")");
-  }
-}
-
-inline void read_exact(int fd, std::byte* data, std::size_t n,
-                       double deadline, const std::string& what) {
-  std::size_t off = 0;
-  while (off < n) {
-    wait_ready(fd, POLLIN, deadline, what);
-    const ssize_t r = ::read(fd, data + off, n - off);
-    if (r > 0) {
-      off += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r == 0) throw comm_error(what + ": connection closed during setup");
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    throw_errno("read(" + what + ")");
-  }
-}
-
-/// Blocking send of a payload-free or small frame during setup.
-inline void send_frame_blocking(int fd, const FrameHeader& h,
-                                std::span<const double> payload,
-                                double deadline, const std::string& what) {
-  const auto hdr = encode_frame_header(h);
-  write_exact(fd, hdr.data(), hdr.size(), deadline, what);
-  if (!payload.empty())
-    write_exact(fd, reinterpret_cast<const std::byte*>(payload.data()),
-                payload.size() * sizeof(double), deadline, what);
-}
-
-inline FrameHeader recv_frame_blocking(int fd, std::vector<double>& payload,
-                                       double deadline,
-                                       const std::string& what) {
-  std::array<std::byte, kFrameHeaderBytes> hdr;
-  read_exact(fd, hdr.data(), hdr.size(), deadline, what);
-  const FrameHeader h = decode_frame_header(hdr);
-  payload.resize(h.count);
-  if (h.count > 0)
-    read_exact(fd, reinterpret_cast<std::byte*>(payload.data()),
-               h.count * sizeof(double), deadline, what);
-  return h;
 }
 
 inline void set_nonblocking(int fd) {

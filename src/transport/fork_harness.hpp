@@ -1,8 +1,8 @@
 #pragma once
 /// \file fork_harness.hpp
-/// Generic forked rank harness shared by run_ranks_sockets and
-/// run_ranks_shm_forked: forks `nranks` children (no exec), each
-/// running a caller-supplied body for its rank. The parent supervises
+/// Generic forked rank harness behind run_ranks_shm_forked: forks
+/// `nranks` children (no exec), each running a caller-supplied body for
+/// its rank. The parent supervises
 /// with a wall-clock watchdog, captures each child's stderr, and throws
 /// on any child failure or on timeout with the collected per-rank
 /// diagnostics. For true fresh-address-space workers use
@@ -15,7 +15,7 @@ namespace slipflow::transport {
 
 struct ForkRunOptions {
   double wall_timeout = 60.0;
-  /// Name used in thrown diagnostics, e.g. "run_ranks_sockets".
+  /// Name used in thrown diagnostics, e.g. "run_ranks_shm_forked".
   std::string who = "run_ranks_forked";
 };
 

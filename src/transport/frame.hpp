@@ -1,13 +1,13 @@
 #pragma once
 /// \file frame.hpp
-/// Wire format of the process transports (SocketComm streams, ShmComm
-/// rings): length-prefixed tagged frames.
+/// Wire format of ShmComm's rings and the launcher's heartbeat channel:
+/// length-prefixed tagged frames.
 ///
-/// Every message on a connection is one frame — a fixed 24-byte header
-/// followed by `count` raw doubles. The header carries the sender rank
-/// and tag, so a single stream multiplexes every (tag) channel between a
-/// peer pair and the receiver can demultiplex into per-(src, tag)
-/// mailboxes without any out-of-band state.
+/// Every message is one frame — a fixed 24-byte header followed by
+/// `count` raw doubles. The header carries the sender rank and tag, so
+/// a single ring multiplexes every (tag) channel between a peer pair
+/// and the receiver can demultiplex into per-(src, tag) mailboxes
+/// without any out-of-band state.
 ///
 /// Byte order is the host's: frames only ever travel between processes
 /// forked on the same machine (the launcher's workers), never across
@@ -28,15 +28,13 @@ namespace slipflow::transport {
 /// What a frame carries.
 enum class FrameKind : std::uint16_t {
   kData = 1,       ///< tagged point-to-point payload
-  kHello = 2,      ///< connection opener: identifies the dialing rank
-  kRelease = 3,    ///< rendezvous barrier release from rank 0
   kHeartbeat = 4,  ///< liveness beat to the launcher: payload {phase, seq}
-  kPad = 5,        ///< ring filler: skip to the end of the ring (ShmComm)
+  kPad = 5,        ///< ring filler: skip to the end of the ring
 };
 
 /// Flag on a kData frame: this is a fragment of a chunked message and
-/// more fragments follow on the same (src, tag) channel (ShmComm only —
-/// frames larger than half a ring are split so they can always fit).
+/// more fragments follow on the same (src, tag) channel (frames larger
+/// than half a ring are split so they can always fit).
 inline constexpr std::uint16_t kFrameFlagMoreFragments = 1;
 
 struct FrameHeader {
@@ -82,7 +80,9 @@ inline FrameHeader decode_frame_header(std::span<const std::byte> bytes) {
   std::memcpy(&h.count, bytes.data() + 16, 8);
   if (h.magic != kFrameMagic)
     throw comm_error("frame decode: bad magic word (stream desynchronized)");
-  if (kind < 1 || kind > 5)
+  if (kind != static_cast<std::uint16_t>(FrameKind::kData) &&
+      kind != static_cast<std::uint16_t>(FrameKind::kHeartbeat) &&
+      kind != static_cast<std::uint16_t>(FrameKind::kPad))
     throw comm_error("frame decode: unknown frame kind " +
                      std::to_string(kind));
   h.kind = static_cast<FrameKind>(kind);

@@ -1,16 +1,14 @@
 #include "transport/launcher.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -18,6 +16,7 @@
 
 #include "transport/fdio.hpp"
 #include "transport/frame.hpp"
+#include "transport/shm_comm.hpp"
 #include "transport/tempdir.hpp"
 #include "util/require.hpp"
 
@@ -61,25 +60,25 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
     dir = make_socket_temp_dir();
     own_dir = true;
   }
+
+  // Fail before forking: every worker maps its rings under `dir`.
+  if (!shm_dir_usable(dir)) {
+    std::error_code ec;
+    if (own_dir) fs::remove_all(dir, ec);
+    const char* tmpdir = std::getenv("TMPDIR");
+    LaunchResult bad;
+    bad.last_phase.assign(static_cast<std::size_t>(cfg.ranks), -1);
+    bad.diagnostic = "launch_workers: directory " + dir +
+                     " cannot host shared-memory ring segments; point "
+                     "$TMPDIR (now: " +
+                     (tmpdir != nullptr ? tmpdir : "unset") +
+                     ") at a writable local or tmpfs directory";
+    return bad;
+  }
   const std::string monitor_path = dir + "/monitor.sock";
 
   // Monitor listener first, so even the earliest worker can connect.
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listener < 0) throw_errno("socket(monitor)");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  SLIPFLOW_REQUIRE_MSG(monitor_path.size() + 1 <= sizeof(addr.sun_path),
-                       "monitor socket path too long: " << monitor_path);
-  std::memcpy(addr.sun_path, monitor_path.c_str(), monitor_path.size() + 1);
-  ::unlink(monitor_path.c_str());
-  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) < 0 ||
-      ::listen(listener, cfg.ranks + 2) < 0) {
-    const int err = errno;
-    ::close(listener);
-    errno = err;
-    throw_errno("bind/listen(" + monitor_path + ")");
-  }
+  const int listener = fdio::make_listener(monitor_path, cfg.ranks + 2);
   set_nonblocking(listener);
 
   const double t0 = mono_now();
@@ -102,15 +101,10 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
     argv_s.push_back("--rank=" + std::to_string(r));
     argv_s.push_back("--ranks=" + std::to_string(cfg.ranks));
     argv_s.push_back("--socket-dir=" + dir);
-    if (!cfg.transport.empty()) {
-      argv_s.push_back("--transport=" + cfg.transport);
-      if (cfg.transport != "socket") {
-        argv_s.push_back("--shm-session=" + std::to_string(session));
-        if (cfg.shm_ring_bytes > 0)
-          argv_s.push_back("--shm-ring-bytes=" +
-                           std::to_string(cfg.shm_ring_bytes));
-      }
-    }
+    argv_s.push_back("--shm-session=" + std::to_string(session));
+    if (cfg.shm_ring_bytes > 0)
+      argv_s.push_back("--shm-ring-bytes=" +
+                       std::to_string(cfg.shm_ring_bytes));
     argv_s.push_back("--heartbeat-sock=" + monitor_path);
     argv_s.push_back("--heartbeat-interval=" +
                      std::to_string(cfg.heartbeat_interval));

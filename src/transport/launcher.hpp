@@ -1,8 +1,8 @@
 #pragma once
 /// \file launcher.hpp
-/// Process launcher for the socket transport: forks and execs N worker
-/// processes (normally the `slipflow_worker` binary), wires them to a
-/// shared socket directory, and supervises the run.
+/// Process launcher: forks and execs N worker processes (normally the
+/// `slipflow_worker` binary), wires them to a shared directory for their
+/// ShmComm ring segments, and supervises the run.
 ///
 /// Supervision turns the three silent failure modes of a real cluster
 /// run into named, bounded diagnostics:
@@ -28,22 +28,18 @@ struct LaunchConfig {
   int ranks = 1;
   /// argv of the worker binary (argv[0] = executable path). The launcher
   /// appends, per rank:
-  ///   --rank=R --ranks=N --socket-dir=DIR
-  ///   --heartbeat-sock=DIR/monitor.sock --heartbeat-interval=S
-  /// followed by extra_args[R], so per-rank fault flags go there.
-  std::vector<std::string> worker_command;
-  /// Socket directory shared by the workers; empty = fresh mkdtemp under
-  /// $TMPDIR (falling back to /tmp), removed when the launch returns.
-  std::string dir;
-  /// Transport the workers should use: "" = leave the worker's default
-  /// (socket), "socket", "shm", or "auto" (shm when the shared dir
-  /// supports mmap, else socket). When set, the launcher appends
-  /// --transport=<t>; for "shm"/"auto" it also appends a fresh
-  /// --shm-session=<tag> so stale ring segments from a crashed earlier
+  ///   --rank=R --ranks=N --socket-dir=DIR --shm-session=TAG
+  ///   [--shm-ring-bytes=B] --heartbeat-sock=DIR/monitor.sock
+  ///   --heartbeat-interval=S
+  /// followed by extra_args[R], so per-rank fault flags go there. TAG is
+  /// fresh per launch, so stale ring segments from a crashed earlier
   /// launch can never be mistaken for this run's.
-  std::string transport;
+  std::vector<std::string> worker_command;
+  /// Directory shared by the workers (ring segments + monitor socket);
+  /// empty = fresh mkdtemp under $TMPDIR (falling back to /tmp), removed
+  /// when the launch returns.
+  std::string dir;
   /// Ring capacity per directed peer pair in bytes (0 = worker default).
-  /// Only meaningful with transport "shm"/"auto".
   long long shm_ring_bytes = 0;
   double heartbeat_interval = 0.25;
   /// A worker whose latest beat is older than this fails the run
@@ -76,7 +72,10 @@ struct LaunchResult {
 
 /// Run the workers to completion (all exit 0) or to the first failure.
 /// Does not throw on worker failure — that is the result — only on
-/// launcher-side setup errors (fork/socket failures).
+/// launcher-side setup errors (fork/socket failures). A directory that
+/// cannot host mmap'd ring segments (shm_dir_usable) fails the launch
+/// before anything is forked, with a one-line diagnostic naming the
+/// directory and $TMPDIR.
 LaunchResult launch_workers(const LaunchConfig& cfg);
 
 }  // namespace slipflow::transport

@@ -145,8 +145,7 @@ ShmComm::ShmComm(ShmCommConfig cfg) : cfg_(std::move(cfg)) {
   }
 }
 
-/// The construction rendezvous (the shm analogue of SocketComm's accept
-/// loop): block until every peer has mapped this rank's inbound rings.
+/// The construction rendezvous: block until every peer has mapped this rank's inbound rings.
 /// After this, no peer still needs our segments' directory entries —
 /// their mmaps outlive the unlink — so teardown can remove them no
 /// matter how early this rank finishes relative to its peers.
@@ -456,7 +455,7 @@ bool ShmComm::drain_outbox(int dest) {
   Ring& r = out_[static_cast<std::size_t>(dest)];
   if (a32(r.base, kOffConsumerClosed).load(std::memory_order_acquire) != 0) {
     // The peer is gone; undeliverable output is dropped and the next
-    // recv involving this peer reports it (mirrors the socket path).
+    // recv involving this peer reports it.
     q.clear();
     return false;
   }

@@ -1,8 +1,9 @@
 #pragma once
 /// \file shm_comm.hpp
 /// ShmComm — same-host Communicator over mmap'd single-producer/
-/// single-consumer ring buffers, the zero-copy fast path for the
-/// launcher's workers when every rank shares a machine.
+/// single-consumer ring buffers: the transport of every forked or
+/// launched run (the launcher's slipflow_worker processes, the forked
+/// test harness), zero-copy where the receiver allows it.
 ///
 /// Topology: one ring file per *directed* peer pair
 /// (`DIR/ring_<src>to<dst>.shm`). The consumer rank creates and owns
@@ -17,17 +18,17 @@
 /// the consumer parses frames in place; `try_recv_view` goes further
 /// and hands out a span pointing into the mapped payload itself.
 ///
-/// Semantics match SocketComm exactly (same frame codec, same mailbox
-/// demultiplexing, same eager-send contract — a full ring spills to a
-/// local outbox instead of blocking, so the halo pattern stays
-/// deadlock-free), and collectives delegate to the shared binomial
-/// trees in collectives.hpp, so results are byte-identical to both
-/// SocketComm and ThreadComm. Failure surfaces are also identical: a
-/// bounded recv throws comm_timeout naming the pending (src, tag), a
-/// peer that tore down cleanly flips the ring's closed flag and
-/// surfaces as the same named comm_error, heartbeats report to the
-/// launcher's monitor socket, and the deterministic fault-injection
-/// layer (kill/stop at phase K, drop, delay, throttle) is shared.
+/// Semantics match ThreadComm (tagged frames demultiplexed into
+/// per-(src, tag) mailboxes; an eager-send contract — a full ring spills
+/// to a local outbox instead of blocking, so the halo pattern stays
+/// deadlock-free), and collectives delegate to the binomial trees in
+/// collectives.hpp, so results are byte-identical to ThreadComm's.
+/// Failures are named, never silent: a bounded recv throws comm_timeout
+/// naming the pending (src, tag), a peer that tore down cleanly flips
+/// the ring's closed flag and surfaces as a named comm_error,
+/// heartbeats report to the launcher's monitor socket, and a
+/// deterministic fault-injection layer (kill/stop at phase K, drop,
+/// delay, throttle) drives the robustness tests.
 ///
 /// Frames larger than half a ring are split into fragments
 /// (kFrameFlagMoreFragments) so any message fits; waits are
@@ -231,9 +232,8 @@ class ShmComm final : public Communicator {
 };
 
 /// Can `dir` host mmap'd ring segments? (Probe: create, map shared,
-/// write, read back.) The launcher's "auto" transport resolves to shm
-/// exactly when this is true — deterministically identical on every
-/// rank, since they probe the same filesystem.
+/// write, read back.) launch_workers refuses to fork into a directory
+/// that fails it.
 bool shm_dir_usable(const std::string& dir);
 
 /// In-process harness mirroring run_ranks() for the shm backend: runs
@@ -260,7 +260,7 @@ void run_ranks_shm(int nranks, const std::function<void(Communicator&)>& fn,
                    const ShmRunOptions& opts = {});
 
 /// Forked sibling of run_ranks_shm for fault tests that kill or stop a
-/// real process (same supervision and diagnostics as run_ranks_sockets).
+/// real process (fork_harness.hpp supervision and diagnostics).
 void run_ranks_shm_forked(int nranks,
                           const std::function<void(Communicator&)>& fn,
                           const ShmRunOptions& opts = {});

@@ -1,10 +1,11 @@
 #pragma once
 /// \file tempdir.hpp
-/// Fresh private directory for rendezvous/listener sockets, honoring
-/// TMPDIR (fallback /tmp) like mkstemp-based tooling does. Callers on
-/// exotic TMPDIRs should keep it short: Unix-domain socket paths are
-/// capped at sizeof(sockaddr_un::sun_path) (~108 bytes), and the bind
-/// will fail with a named error if DIR/rank<N>.sock exceeds it.
+/// Fresh private directory for a launch's ring segments and heartbeat
+/// monitor socket, honoring TMPDIR (fallback /tmp) like mkstemp-based
+/// tooling does. Callers on exotic TMPDIRs should keep it short:
+/// Unix-domain socket paths are capped at sizeof(sockaddr_un::sun_path)
+/// (~108 bytes), and the bind fails with a named error if
+/// DIR/monitor.sock exceeds it.
 
 #include <cerrno>
 #include <cstdlib>

@@ -163,7 +163,7 @@ TEST(Policy, FirstMatchWinsAndFallback) {
   EXPECT_EQ(lbm.max_level, IsaLevel::baseline);
   EXPECT_FALSE(lbm.allow_fma);
   // outside the contract targets: fallback
-  const TuRule& other = p.rule_for("transport/socket_comm.cpp.o");
+  const TuRule& other = p.rule_for("transport/shm_comm.cpp.o");
   EXPECT_EQ(other.max_level, IsaLevel::baseline);
   EXPECT_TRUE(other.allow_fma);
 }
@@ -230,12 +230,12 @@ TEST(Audit, FmaRuleSurvivesContractOnlyMode) {
 }
 
 TEST(Audit, FmaAllowedOutsideContractTargets) {
-  const TuAudit strict = audit_text("transport/socket_comm.cpp.o", kFmaListing);
+  const TuAudit strict = audit_text("transport/shm_comm.cpp.o", kFmaListing);
   // fallback allows FMA but still caps ISA at baseline in strict mode
   EXPECT_EQ(strict.violation_count, 1u);
   EXPECT_NE(strict.violations[0].reason.find("exceeds TU ceiling"),
             std::string::npos);
-  const TuAudit native = audit_text("transport/socket_comm.cpp.o", kFmaListing,
+  const TuAudit native = audit_text("transport/shm_comm.cpp.o", kFmaListing,
                                     AuditMode::contract_only);
   EXPECT_EQ(native.violation_count, 0u);
 }

@@ -1,6 +1,6 @@
 // End-to-end multi-process runs: the launcher forks+execs real
 // slipflow_worker binaries (SLIPFLOW_WORKER_EXE, injected by CMake) over
-// Unix-domain sockets, and the physics they produce must be byte-
+// shared-memory rings, and the physics they produce must be byte-
 // identical to the same configuration over in-process ThreadComm.
 //
 // Determinism rests on injected CountingClocks (obs/clock.hpp): every
@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -73,11 +74,9 @@ std::string run_over_threads() {
   return observables;
 }
 
-transport::LaunchConfig worker_launch(const std::string& observables_out,
-                                      const std::string& transport = "") {
+transport::LaunchConfig worker_launch(const std::string& observables_out) {
   transport::LaunchConfig lc;
   lc.ranks = kRanks;
-  lc.transport = transport;
   lc.worker_command = {SLIPFLOW_WORKER_EXE,
                        "--nx=16",
                        "--ny=6",
@@ -101,73 +100,28 @@ transport::LaunchConfig worker_launch(const std::string& observables_out,
 
 }  // namespace
 
-TEST(MultiProcess, SocketObservablesAreByteIdenticalToThreads) {
-  const std::string out = temp_path("obs_socket");
+TEST(MultiProcess, ForkObservablesAreByteIdenticalToThreads) {
+  const std::string out = temp_path("obs_fork");
   const transport::LaunchResult res =
       transport::launch_workers(worker_launch(out));
   ASSERT_TRUE(res.ok) << res.diagnostic;
 
-  const std::string socket_obs = read_file(out);
+  const std::string fork_obs = read_file(out);
   std::remove(out.c_str());
   const std::string thread_obs = run_over_threads();
 
-  ASSERT_FALSE(socket_obs.empty());
-  EXPECT_EQ(socket_obs, thread_obs)
+  ASSERT_FALSE(fork_obs.empty());
+  EXPECT_EQ(fork_obs, thread_obs)
       << "real-process physics diverged from the in-process reference";
   // sanity: the virtually slow rank actually shed planes, so the
   // comparison covers migrated state, not just an untouched lattice
-  EXPECT_NE(socket_obs.find("rank 1 planes"), std::string::npos);
-  EXPECT_EQ(socket_obs.find("rank 1 planes 4 sent 0"), std::string::npos)
+  EXPECT_NE(fork_obs.find("rank 1 planes"), std::string::npos);
+  EXPECT_EQ(fork_obs.find("rank 1 planes 4 sent 0"), std::string::npos)
       << "expected rank 1 to migrate planes away:\n"
-      << socket_obs.substr(0, 400);
+      << fork_obs.substr(0, 400);
 }
 
-TEST(MultiProcess, ShmObservablesAreByteIdenticalToSocketAndThreads) {
-  // Same launch, halos over shared-memory rings instead of sockets: the
-  // observables must not move by a single byte.
-  const std::string out_shm = temp_path("obs_shm");
-  const transport::LaunchResult rs =
-      transport::launch_workers(worker_launch(out_shm, "shm"));
-  ASSERT_TRUE(rs.ok) << rs.diagnostic;
-  const std::string shm_obs = read_file(out_shm);
-  std::remove(out_shm.c_str());
-
-  const std::string out_sock = temp_path("obs_sock_ref");
-  const transport::LaunchResult rk =
-      transport::launch_workers(worker_launch(out_sock, "socket"));
-  ASSERT_TRUE(rk.ok) << rk.diagnostic;
-  const std::string socket_obs = read_file(out_sock);
-  std::remove(out_sock.c_str());
-
-  ASSERT_FALSE(shm_obs.empty());
-  EXPECT_EQ(shm_obs, socket_obs)
-      << "shm workers diverged from socket workers";
-  EXPECT_EQ(shm_obs, run_over_threads())
-      << "shm workers diverged from the in-process reference";
-  // migrations really happened over the rings
-  EXPECT_EQ(shm_obs.find("rank 1 planes 4 sent 0"), std::string::npos)
-      << "expected rank 1 to migrate planes away:\n"
-      << shm_obs.substr(0, 400);
-}
-
-TEST(MultiProcess, ShmKilledRankIsNamedWithinTimeout) {
-  // The supervision story must not regress on the shm transport: a rank
-  // SIGKILLed mid-run is still named, and the run still ends promptly.
-  transport::LaunchConfig lc =
-      worker_launch(temp_path("obs_shm_killed"), "shm");
-  lc.worker_command.back() = "--phases=5000";  // replace observables-out
-  lc.wall_clock_timeout = 60.0;
-  lc.extra_args[2] = {"--fault-kill-phase=40"};
-  const transport::LaunchResult res = transport::launch_workers(lc);
-  EXPECT_FALSE(res.ok);
-  EXPECT_EQ(res.failed_rank, 2) << res.diagnostic;
-  EXPECT_NE(res.diagnostic.find("rank 2 killed by signal 9"),
-            std::string::npos)
-      << res.diagnostic;
-  EXPECT_LT(res.elapsed_seconds, 60.0);
-}
-
-TEST(MultiProcess, RepeatedSocketRunsAreByteIdentical) {
+TEST(MultiProcess, RepeatedForkRunsAreByteIdentical) {
   const std::string out_a = temp_path("obs_a");
   const std::string out_b = temp_path("obs_b");
   const transport::LaunchResult ra =
@@ -211,6 +165,29 @@ TEST(MultiProcess, FrozenRankIsCaughtByHeartbeatSilence) {
   EXPECT_NE(res.diagnostic.find("heartbeat silent"), std::string::npos)
       << res.diagnostic;
   EXPECT_LT(res.elapsed_seconds, 30.0);
+}
+
+TEST(MultiProcess, UnusableRingDirFailsBeforeForking) {
+  // Every worker maps its rings under the launch directory, so one that
+  // cannot host them must fail the launch up front — naming the
+  // directory and $TMPDIR — instead of forking workers that die later.
+  const std::string dir = temp_path("no_such_dir") + "/rings";
+  const std::string marker = temp_path("forked_marker");
+  transport::LaunchConfig lc;
+  lc.ranks = 2;
+  lc.dir = dir;
+  // would create the marker if it were ever forked
+  lc.worker_command = {"/bin/sh", "-c", "touch \"$0\"", marker};
+  lc.wall_clock_timeout = 20.0;
+  const transport::LaunchResult res = transport::launch_workers(lc);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.failed_rank, -1);
+  EXPECT_EQ(res.diagnostic.find('\n'), std::string::npos) << res.diagnostic;
+  EXPECT_NE(res.diagnostic.find(dir), std::string::npos) << res.diagnostic;
+  EXPECT_NE(res.diagnostic.find("$TMPDIR"), std::string::npos)
+      << res.diagnostic;
+  EXPECT_FALSE(std::filesystem::exists(marker)) << "a worker was forked";
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(MultiProcess, MissingWorkerBinaryFailsFast) {

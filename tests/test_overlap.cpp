@@ -10,7 +10,7 @@
 // and its seam pass byte for byte against the sequential legacy kernels
 // for every rank x lane partition, down to one-plane slabs.
 //
-// Naming note: tests that fork socket children carry "Socket" in their
+// Naming note: tests that fork worker processes carry "Fork" in their
 // name so the TSan CI job can exclude them (fork + TSan is unsupported).
 
 #include <gtest/gtest.h>
@@ -99,14 +99,12 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-/// Fork real worker processes with the given step schedule and transport
-/// ("socket" or "shm") and return rank 0's observables.
-std::string run_workers(int ranks, const std::string& step, int threads,
-                        const std::string& transport) {
-  const std::string out = temp_path("obs_overlap_" + step + "_" + transport);
+/// Fork real worker processes (over shared-memory rings) with the given
+/// step schedule and return rank 0's observables.
+std::string run_workers(int ranks, const std::string& step, int threads) {
+  const std::string out = temp_path("obs_overlap_" + step);
   transport::LaunchConfig lc;
   lc.ranks = ranks;
-  lc.transport = transport;
   lc.worker_command = {SLIPFLOW_WORKER_EXE,
                        "--nx=16",
                        "--ny=6",
@@ -132,10 +130,6 @@ std::string run_workers(int ranks, const std::string& step, int threads,
   const std::string obs = read_file(out);
   std::remove(out.c_str());
   return obs;
-}
-
-std::string run_sockets(int ranks, const std::string& step, int threads) {
-  return run_workers(ranks, step, threads, "socket");
 }
 
 }  // namespace
@@ -208,42 +202,22 @@ TEST(Overlap, BlockingModePublishesNoOverlapMetrics) {
   EXPECT_FALSE(reg.has_gauge(0, "overlap_efficiency"));
 }
 
-// --- real processes (named "Socket" so the TSan job can skip them) ---
+// --- real processes (named "Fork" so the TSan job can skip them) ---
 
-TEST(OverlapSocket, WorkersMatchThreadBackendByByte) {
-  const std::string socket_obs = run_sockets(4, "overlap", 2);
-  ASSERT_FALSE(socket_obs.empty());
-  EXPECT_EQ(socket_obs, run_threads(4, sim::StepMode::overlap, 2))
+TEST(OverlapFork, WorkersMatchThreadBackendByByte) {
+  // A 4-rank overlapped run with live plane migrations and mid-run plan
+  // rebuilds must produce byte-identical observables whether halos ride
+  // threads or shared-memory rings between processes.
+  const std::string fork_obs = run_workers(4, "overlap", 2);
+  ASSERT_FALSE(fork_obs.empty());
+  EXPECT_EQ(fork_obs, run_threads(4, sim::StepMode::overlap, 2))
       << "overlapped worker processes diverged from in-process reference";
 }
 
-TEST(OverlapSocket, BlockingFlagStillSupported) {
-  const std::string socket_obs = run_sockets(2, "blocking", 1);
-  ASSERT_FALSE(socket_obs.empty());
-  EXPECT_EQ(socket_obs, run_threads(2, sim::StepMode::blocking, 1));
-}
-
-// --- differential transport matrix (forks, hence the "Socket" name) ---
-
-TEST(OverlapSocket, ShmWorkersMatchThreadAndSocketByByte) {
-  // The tightest cross-transport guarantee in the suite: a 4-rank
-  // overlapped run with live plane migrations and mid-run plan rebuilds
-  // must produce byte-identical observables whether halos ride threads,
-  // Unix-domain sockets, or shared-memory rings.
-  const std::string thread_obs = run_threads(4, sim::StepMode::overlap, 2);
-  ASSERT_FALSE(thread_obs.empty());
-  EXPECT_EQ(run_workers(4, "overlap", 2, "shm"), thread_obs)
-      << "shm workers diverged from the thread backend";
-  EXPECT_EQ(run_workers(4, "overlap", 2, "socket"), thread_obs)
-      << "socket workers diverged from the thread backend";
-}
-
-TEST(OverlapSocket, AutoTransportResolvesAndMatches) {
-  // "auto" must pick shm here (the socket dir is mmap-able tmpfs/disk)
-  // and still land on the same bytes.
-  const std::string auto_obs = run_workers(2, "overlap", 2, "auto");
-  ASSERT_FALSE(auto_obs.empty());
-  EXPECT_EQ(auto_obs, run_threads(2, sim::StepMode::overlap, 2));
+TEST(OverlapFork, BlockingFlagStillSupported) {
+  const std::string fork_obs = run_workers(2, "blocking", 1);
+  ASSERT_FALSE(fork_obs.empty());
+  EXPECT_EQ(fork_obs, run_threads(2, sim::StepMode::blocking, 1));
 }
 
 // --- plane wavefront: every rank x lane partition vs the legacy oracle ---

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <mutex>
 
 #include "lbm/observables.hpp"
+#include "obs/clock.hpp"
 #include "lbm/simulation.hpp"
 #include "sim/parallel_lbm.hpp"
 #include "transport/thread_comm.hpp"
@@ -70,9 +72,7 @@ ParallelOutcome run_parallel(int ranks, int phases, const RunnerConfig& cfg) {
   transport::run_ranks(ranks, [&](transport::Communicator& comm) {
     ParallelLbm run(cfg, comm);
     run.initialize_uniform();
-    run.run(phases);
-    // the last phase may end in a migration, which zeroes u_macro
-    run.refresh_observables();
+    run.run(phases);  // refreshes u_macro if the last phase migrated
     auto stats = run.gather_stats();
     for (index_t gx = 0; gx < kGrid.nx; ++gx) {
       auto w = run.gather_density_profile_y(0, gx, 2);
@@ -194,4 +194,49 @@ TEST(ParallelRemap, RemapTimeIsAccounted) {
   double remap_total = 0.0;
   for (const auto& s : out.stats) remap_total += s.remap_seconds;
   EXPECT_GT(remap_total, 0.0);
+}
+
+TEST(ParallelRemap, RunEndingInMigrationRefreshesProfiles) {
+  // The only remap of this run is its last phase, and rank 1's injected
+  // clock runs 4x slow, so that remap moves planes deterministically.
+  // run() must hand back readable profiles on its own: byte-identical to
+  // the ones an explicit refresh_observables() produces afterwards.
+  constexpr int kPhases = 8;
+  RunnerConfig cfg = remap_runner("filtered", 3);
+  cfg.remap_interval = kPhases;
+  cfg.clock_factory = [](int rank) -> std::shared_ptr<obs::Clock> {
+    return std::make_shared<obs::CountingClock>(rank == 1 ? 4e-3 : 1e-3);
+  };
+  std::vector<std::vector<double>> after_run, refreshed;
+  long long migrated = 0;
+  transport::run_ranks(3, [&](transport::Communicator& comm) {
+    ParallelLbm run(cfg, comm);
+    run.initialize_uniform();
+    run.run(kPhases);
+    const auto stats = run.gather_stats();
+    std::vector<std::vector<double>> mine;
+    for (index_t gx = 0; gx < kGrid.nx; ++gx)
+      mine.push_back(run.gather_velocity_profile_y(gx, 2));
+    run.refresh_observables();
+    std::vector<std::vector<double>> ref;
+    for (index_t gx = 0; gx < kGrid.nx; ++gx)
+      ref.push_back(run.gather_velocity_profile_y(gx, 2));
+    if (comm.rank() == 0) {
+      for (const auto& st : stats) migrated += st.planes_sent;
+      after_run = std::move(mine);
+      refreshed = std::move(ref);
+    }
+  });
+  EXPECT_GT(migrated, 0) << "the final remap must move planes";
+  ASSERT_EQ(after_run.size(), refreshed.size());
+  bool moving = false;
+  for (std::size_t gx = 0; gx < refreshed.size(); ++gx) {
+    ASSERT_EQ(after_run[gx].size(), refreshed[gx].size());
+    EXPECT_EQ(std::memcmp(after_run[gx].data(), refreshed[gx].data(),
+                          refreshed[gx].size() * sizeof(double)),
+              0)
+        << "plane " << gx;
+    for (const double u : refreshed[gx]) moving = moving || u != 0.0;
+  }
+  EXPECT_TRUE(moving) << "the reference profile must not be all zero";
 }

@@ -1,7 +1,7 @@
 // Transport stress tests: randomized message storms with verifiable
 // content, exercising FIFO ordering, tag isolation and collective
-// interleaving under concurrency — over both the thread and the real
-// multi-process socket backend.
+// interleaving under concurrency — over the thread backend and ShmComm
+// on both threads and forked processes.
 
 #include <gtest/gtest.h>
 
@@ -43,7 +43,7 @@ std::vector<Send> make_schedule(std::uint64_t seed, int ranks, int count) {
 class TransportStorm : public ::testing::TestWithParam<Backend> {};
 
 INSTANTIATE_TEST_SUITE_P(ConcurrentBackends, TransportStorm,
-                         ::testing::Values(Backend::kThread, Backend::kSocket,
+                         ::testing::Values(Backend::kThread, Backend::kFork,
                                            Backend::kShm),
                          [](const auto& pinfo) {
                            return backend_name(pinfo.param);
@@ -72,8 +72,8 @@ TEST_P(TransportStorm, RandomTrafficDeliversInFifoOrderPerChannel) {
 }
 
 TEST_P(TransportStorm, LargePayloadsSurviveIntact) {
-  // 100k doubles = 800 KB per message — far beyond any kernel socket
-  // buffer, so the socket backend must buffer and stream.
+  // 100k doubles = 800 KB per message — more than half the default
+  // 1 MiB ring, so the shm backends must fragment every message.
   run_backend(GetParam(), 3, [](Communicator& c) {
     const int peer = (c.rank() + 1) % 3;
     std::vector<double> big(100000);
@@ -113,7 +113,7 @@ TEST_P(TransportStorm, ManyRanksBarrierHammer) {
 }
 
 TEST_P(TransportStorm, RepeatedSessionsAreIndependent) {
-  const int sessions = GetParam() == Backend::kSocket ? 3 : 10;
+  const int sessions = GetParam() == Backend::kFork ? 3 : 10;
   for (int session = 0; session < sessions; ++session) {
     run_backend(GetParam(), 3, [session](Communicator& c) {
       const double v = session * 100.0 + c.rank();

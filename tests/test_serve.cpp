@@ -143,7 +143,7 @@ TEST(Serve, JobSpecDefaultsAndRoundTrip) {
   const JobSpec defaults = JobSpec::from_json(util::json_parse("{}"));
   EXPECT_EQ(defaults.nx, 16);
   EXPECT_EQ(defaults.components, 2);
-  EXPECT_EQ(defaults.transport, "socket");
+  EXPECT_EQ(defaults.transport, "shm");
   EXPECT_EQ(defaults.observables, "physics");
 
   JobSpec s = small_spec();
@@ -193,9 +193,8 @@ TEST(Serve, WarmKeyIgnoresSchedulingFields) {
   a.warm_phases = 10;
   JobSpec b = a;
   // Everything the equilibrated state is invariant to: decomposition,
-  // transport, threading, policy, step mode — and the total phase count.
+  // threading, policy, step mode — and the total phase count.
   b.ranks = 4;
-  b.transport = "shm";
   b.threads = 2;
   b.policy = "greedy";
   b.step = "blocking";
@@ -237,9 +236,9 @@ TEST(Serve, MakeLaunchConfigLowersSpec) {
   EXPECT_TRUE(has("--wall-accel=0.2"));
   EXPECT_TRUE(has("--gravity=2e-05"));
   EXPECT_TRUE(has("--observables=physics"));
-  // Checkpointing jobs are forced onto the atomic sync path: recovery
-  // must never seed from a torn file.
-  EXPECT_TRUE(has("--checkpoint-atomic"));
+  // Checkpointing jobs are forced onto the sync path, whose
+  // save_checkpoint publishes by rename: recovery must never seed from a
+  // torn file.
   EXPECT_TRUE(has("--io=sync"));
   // The injected fault reaches only the guilty rank's argv.
   ASSERT_EQ(lc.extra_args.count(1), 1u);
@@ -468,6 +467,31 @@ TEST(ServeE2E, SubmitRejectsUncreatableOutDir) {
         << mode << ":\n" << r.output;
     EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
         << mode << ":\n" << r.output;
+  }
+}
+
+// Forked runs have one transport: a spec naming any other is rejected
+// at submit with one line naming the field, before anything launches.
+TEST(ServeE2E, SubmitRejectsNonShmTransport) {
+  const std::string dir = temp_dir("submit_transport");
+  for (const char* transport : {"socket", "auto"}) {
+    util::JsonValue::Object spec = small_spec().to_json().as_object();
+    spec["transport"] = util::JsonValue(transport);
+    std::ofstream(dir + "/spec.json") << util::JsonValue(spec).dump();
+    for (const std::string& mode :
+         {std::string("--direct"),
+          "--socket=" + socket_path("nobody_listens")}) {
+      const CommandResult r =
+          run_command(std::string(SLIPFLOW_SUBMIT_EXE) + " --spec=" + dir +
+                      "/spec.json " + mode);
+      EXPECT_EQ(r.exit_code, 2) << transport << " " << mode << ":\n"
+                                << r.output;
+      EXPECT_NE(r.output.find("transport must be \"shm\""),
+                std::string::npos)
+          << transport << " " << mode << ":\n" << r.output;
+      EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
+          << transport << " " << mode << ":\n" << r.output;
+    }
   }
 }
 

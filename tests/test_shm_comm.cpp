@@ -1,12 +1,13 @@
 // ShmComm-specific behaviors beyond the cross-backend contract matrix
 // (which test_transport.cpp / test_property_transport.cpp already run
-// over the Shm backend): ring wrap-around, fragmentation of messages
-// larger than the ring, spill-based backpressure, zero-copy views,
-// stale-segment replacement and cleanup, $TMPDIR-honoring segment
-// paths, named closed-peer/drop diagnostics, stats publication, and the
-// forked kill-rank fault. Fork-suffixed suites fork real processes and
-// are excluded from TSan runs (TSan cannot follow forks); everything
-// else is threaded via run_ranks_shm.
+// over the Shm and Fork backends): the frame codec, ring wrap-around,
+// fragmentation of messages larger than the ring, spill-based
+// backpressure, zero-copy views, stale-segment replacement and cleanup,
+// $TMPDIR-honoring segment paths, named closed-peer/drop diagnostics,
+// delay/throttle faults, stats publication, and the forked kill-rank
+// fault. Fork-suffixed suites fork real processes and are excluded from
+// TSan runs (TSan cannot follow forks); everything else is threaded via
+// run_ranks_shm.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "transport/frame.hpp"
 #include "transport/shm_comm.hpp"
 #include "transport/tempdir.hpp"
 
@@ -32,10 +35,15 @@ using namespace slipflow::transport;
 
 namespace {
 
-ShmRunOptions small_ring(std::size_t ring_bytes) {
+ShmRunOptions guarded() {
   ShmRunOptions o;
-  o.ring_bytes = ring_bytes;
   o.comm.recv_timeout = 20.0;  // a wedged test must fail, not hang ctest
+  return o;
+}
+
+ShmRunOptions small_ring(std::size_t ring_bytes) {
+  ShmRunOptions o = guarded();
+  o.ring_bytes = ring_bytes;
   return o;
 }
 
@@ -51,7 +59,52 @@ bool exists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
+double wall_now() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 }  // namespace
+
+// --- frame codec ---
+
+TEST(Frame, HeaderRoundTripsAllFields) {
+  FrameHeader h;
+  h.kind = FrameKind::kData;
+  h.src = 1234;
+  h.tag = -101;  // internal collective tags are negative
+  h.count = (1ull << 20) + 7;
+  const auto bytes = encode_frame_header(h);
+  const FrameHeader back = decode_frame_header(bytes);
+  EXPECT_EQ(back.kind, FrameKind::kData);
+  EXPECT_EQ(back.src, 1234);
+  EXPECT_EQ(back.tag, -101);
+  EXPECT_EQ(back.count, (1ull << 20) + 7);
+  EXPECT_EQ(back.magic, kFrameMagic);
+}
+
+TEST(Frame, RejectsBadMagic) {
+  auto bytes = encode_frame_header(FrameHeader{});
+  bytes[0] = std::byte{0x00};
+  EXPECT_THROW(decode_frame_header(bytes), comm_error);
+}
+
+TEST(Frame, RejectsUnknownKind) {
+  auto bytes = encode_frame_header(FrameHeader{});
+  const std::uint16_t bad = 99;
+  std::memcpy(bytes.data() + 4, &bad, 2);
+  EXPECT_THROW(decode_frame_header(bytes), comm_error);
+}
+
+TEST(Frame, RejectsImplausiblePayloadLength) {
+  FrameHeader h;
+  h.count = kMaxFrameDoubles + 1;
+  const auto bytes = encode_frame_header(h);
+  EXPECT_THROW(decode_frame_header(bytes), comm_error);
+}
+
+// --- rings ---
 
 TEST(ShmComm, RingWrapAroundPreservesMessageStream) {
   // The minimum ring holds only a couple of frames, so this ping-pong
@@ -204,9 +257,8 @@ TEST(ShmComm, StaleSegmentsAreReplacedAndCleanedUp) {
 }
 
 TEST(ShmComm, CleanPeerExitSurfacesAsNamedClosedError) {
-  // Rank 0 departs without sending; rank 1's recv must fail with the
-  // same named "connection closed" diagnostic SocketComm gives, not a
-  // timeout and not a hang.
+  // Rank 0 departs without sending; rank 1's recv must fail with a
+  // named "connection closed" diagnostic, not a timeout and not a hang.
   run_ranks_shm(2, [](Communicator& c) {
     if (c.rank() == 0) return;  // tears the endpoint down immediately
     try {
@@ -250,6 +302,79 @@ TEST(ShmComm, DropFaultSurfacesAsNamedTimeout) {
             EXPECT_NE(msg.find("(src=0, tag=9)"), std::string::npos) << msg;
           }
         }
+      },
+      o);
+}
+
+TEST(ShmComm, BidirectionalFloodDoesNotDeadlock) {
+  // Both ranks push ~1.6 MB — more than their 1 MiB rings hold — before
+  // either receives: with blocking sends this wedges on two full rings;
+  // the eager outbox must absorb it.
+  run_ranks_shm(
+      2,
+      [](Communicator& c) {
+        const int peer = 1 - c.rank();
+        std::vector<double> chunk(1024, static_cast<double>(c.rank()));
+        for (int i = 0; i < 200; ++i) {
+          chunk[0] = static_cast<double>(i);
+          c.send(peer, 6, chunk);
+        }
+        for (int i = 0; i < 200; ++i) {
+          const auto got = c.recv(peer, 6);
+          ASSERT_EQ(got.size(), chunk.size());
+          ASSERT_EQ(got[0], static_cast<double>(i));
+          ASSERT_EQ(got[1], static_cast<double>(peer));
+        }
+      },
+      guarded());
+}
+
+TEST(ShmComm, DelayFaultStillDelivers) {
+  ShmRunOptions o = guarded();
+  o.faults = [](int rank) {
+    FaultInjection f;
+    if (rank == 0) f.send_delay = 0.2;
+    return f;
+  };
+  run_ranks_shm(
+      2,
+      [](Communicator& c) {
+        if (c.rank() == 0) {
+          const double t0 = wall_now();
+          c.send(1, 8, std::vector<double>{7.0});
+          EXPECT_GE(wall_now() - t0, 0.15);
+        } else {
+          EXPECT_EQ(c.recv(0, 8)[0], 7.0);
+        }
+        c.barrier();
+      },
+      o);
+}
+
+TEST(ShmComm, ThrottleFaultSlowsButDelivers) {
+  ShmRunOptions o = guarded();
+  o.faults = [](int rank) {
+    FaultInjection f;
+    if (rank == 0) f.throttle_bytes_per_sec = 1e6;  // burst allowance 100 KB
+    return f;
+  };
+  run_ranks_shm(
+      2,
+      [](Communicator& c) {
+        if (c.rank() == 0) {
+          const std::vector<double> big(1 << 16, 1.5);  // 512 KB message
+          const double t0 = wall_now();
+          c.send(1, 9, big);
+          // ~(512 KB - 100 KB burst) / 1 MB/s ≈ 0.4 s of token wait
+          EXPECT_GE(wall_now() - t0, 0.25);
+          EXPECT_GT(dynamic_cast<ShmComm&>(c).stats().throttle_wait_seconds,
+                    0.0);
+        } else {
+          const auto got = c.recv(0, 9);
+          ASSERT_EQ(got.size(), static_cast<std::size_t>(1 << 16));
+          EXPECT_EQ(got[123], 1.5);
+        }
+        c.barrier();
       },
       o);
 }

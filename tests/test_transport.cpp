@@ -1,10 +1,9 @@
 // Transport layer: MPI-semantics message passing over every backend.
 //
 // The parameterized suite runs each contract test over SerialComm,
-// ThreadComm (threads-as-ranks), SocketComm (forked processes over
-// Unix-domain sockets) and ShmComm (threaded endpoints over mmap'd
-// rings). Test bodies make all assertions in-rank so they hold under
-// fork. Thread-only behaviors (shared-memory visibility, poison
+// ThreadComm (threads-as-ranks), ShmComm on forked processes ("Fork")
+// and ShmComm on threaded endpoints over mmap'd rings ("Shm"). Test
+// bodies make all assertions in-rank so they hold under fork. Thread-only behaviors (shared-memory visibility, poison
 // propagation) keep their own non-parameterized tests below.
 
 #include <gtest/gtest.h>
@@ -23,7 +22,7 @@ class TransportSuite : public ::testing::TestWithParam<Backend> {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TransportSuite,
                          ::testing::Values(Backend::kSerial, Backend::kThread,
-                                           Backend::kSocket, Backend::kShm),
+                                           Backend::kFork, Backend::kShm),
                          [](const auto& pinfo) {
                            return backend_name(pinfo.param);
                          });
@@ -136,7 +135,7 @@ TEST_P(TransportSuite, AllgatherOrdersByRank) {
 
 TEST_P(TransportSuite, AllgatherHandlesNonPowerOfTwoRanks) {
   SLIPFLOW_SKIP_IF_UNSUPPORTED(5);
-  // The socket backend's binomial trees must be exact for ragged fan-in.
+  // ShmComm's binomial trees must be exact for ragged fan-in.
   run_backend(GetParam(), 5, [](Communicator& c) {
     const double mine = 1000.0 + c.rank();
     const auto all = c.allgather(std::span<const double>(&mine, 1));
@@ -235,7 +234,7 @@ TEST_P(TransportSuite, RecvTimeoutNamesPendingSourceAndTag) {
             EXPECT_NE(msg.find("tag=77"), std::string::npos) << msg;
           }
         } else {
-          // outlive rank 1's timeout so the socket backend reports a
+          // outlive rank 1's timeout so the shm backends report a
           // timeout, not a closed connection
           std::this_thread::sleep_for(std::chrono::milliseconds(900));
         }

@@ -2,8 +2,8 @@
 // a checkpoint taken at the equilibration boundary by one configuration
 // must seed ANY other configuration of the same physics, and the
 // resumed run's physics observables must be byte-identical to a
-// straight-through run — across rank counts and across the socket and
-// shared-memory transports.
+// straight-through run — across rank counts, with the forked workers
+// on shared-memory rings.
 //
 // This is the composition of two repo invariants, pinned end-to-end
 // with real forked workers:
@@ -74,7 +74,7 @@ std::string launch(const JobSpec& spec, const serve::JobPaths& paths) {
 TEST(WarmStart, ResumeMatchesStraightThroughAcrossRanksAndTransports) {
   const std::string dir = temp_dir("equiv");
 
-  // Straight-through reference, 2 ranks over sockets.
+  // Straight-through reference, 2 ranks.
   const JobSpec ref_spec = base_spec();
   serve::JobPaths ref_paths;
   ref_paths.observables_out = dir + "/obs_ref.txt";
@@ -91,21 +91,16 @@ TEST(WarmStart, ResumeMatchesStraightThroughAcrossRanksAndTransports) {
   EXPECT_EQ(launch(producer, prod_paths), reference);
   ASSERT_TRUE(std::filesystem::exists(prod_paths.warm_checkpoint_out));
 
-  // Resume the remainder from the 2-rank-socket warm state on every
-  // (ranks, transport) combination: --phases is the ABSOLUTE target, so
-  // each run executes phases 13..24 only.
+  // Resume the remainder from the 2-rank warm state on every rank
+  // count: --phases is the ABSOLUTE target, so each run executes phases
+  // 13..24 only.
   for (const int ranks : {1, 2, 4}) {
-    for (const std::string transport : {"socket", "shm"}) {
-      JobSpec resumed = ref_spec;
-      resumed.ranks = ranks;
-      resumed.transport = transport;
-      serve::JobPaths paths;
-      paths.observables_out = dir + "/obs_r" + std::to_string(ranks) + "_" +
-                              transport + ".txt";
-      paths.load_checkpoint = prod_paths.warm_checkpoint_out;
-      EXPECT_EQ(launch(resumed, paths), reference)
-          << "resumed run diverged: ranks=" << ranks
-          << " transport=" << transport;
-    }
+    JobSpec resumed = ref_spec;
+    resumed.ranks = ranks;
+    serve::JobPaths paths;
+    paths.observables_out = dir + "/obs_r" + std::to_string(ranks) + ".txt";
+    paths.load_checkpoint = prod_paths.warm_checkpoint_out;
+    EXPECT_EQ(launch(resumed, paths), reference)
+        << "resumed run diverged: ranks=" << ranks;
   }
 }

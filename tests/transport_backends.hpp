@@ -2,12 +2,13 @@
 /// Shared harness for running one transport test body over every
 /// Communicator backend. Serial, Thread and Shm run in-process (Shm on
 /// threads over mmap'd rings — run_ranks_shm — so it works under
-/// ThreadSanitizer, which cannot follow forks); Socket forks real child
-/// processes (run_ranks_sockets), so test bodies used with it must make
-/// ALL assertions in-rank — a gtest failure inside a forked child is
-/// converted to a nonzero exit below and resurfaces in the parent as a
-/// comm_error carrying the child's stderr. For symmetry the Shm runner
-/// applies the same in-rank conversion, so one body serves all four.
+/// ThreadSanitizer, which cannot follow forks); Fork runs the same
+/// ShmComm in forked child processes (run_ranks_shm_forked), so test
+/// bodies used with it must make ALL assertions in-rank — a gtest
+/// failure inside a forked child is converted to a nonzero exit below
+/// and resurfaces in the parent as a comm_error carrying the child's
+/// stderr. The threaded Shm runner applies the same in-rank conversion,
+/// so one body serves all four.
 
 #include <gtest/gtest.h>
 
@@ -16,18 +17,17 @@
 
 #include "transport/serial_comm.hpp"
 #include "transport/shm_comm.hpp"
-#include "transport/socket_comm.hpp"
 #include "transport/thread_comm.hpp"
 
 namespace slipflow::transport::backend_testing {
 
-enum class Backend { kSerial, kThread, kSocket, kShm };
+enum class Backend { kSerial, kThread, kFork, kShm };
 
 inline const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kSerial: return "Serial";
     case Backend::kThread: return "Thread";
-    case Backend::kSocket: return "Socket";
+    case Backend::kFork: return "Fork";
     case Backend::kShm: return "Shm";
   }
   return "?";
@@ -41,13 +41,18 @@ inline bool supports(Backend b, int nranks) {
 inline void run_backend(Backend b, int nranks,
                         const std::function<void(Communicator&)>& fn,
                         const CommOptions& opts = {}) {
+  const auto in_rank = [&fn](Communicator& c) {
+    fn(c);
+    if (::testing::Test::HasFailure())
+      throw std::runtime_error(
+          "gtest assertion failed in this rank (see messages above)");
+  };
   // A hung multi-process/multi-endpoint test must fail in ctest, never
   // wedge it; bodies that test the timeout itself pass their own bound.
-  const auto guard = [&opts] {
-    CommOptions o = opts;
-    if (o.recv_timeout <= 0.0) o.recv_timeout = 20.0;
-    return o;
-  };
+  ShmRunOptions ro;
+  ro.comm = opts;
+  if (ro.comm.recv_timeout <= 0.0) ro.comm.recv_timeout = 20.0;
+  ro.wall_timeout = 90.0;
   switch (b) {
     case Backend::kSerial: {
       SerialComm c;
@@ -57,35 +62,12 @@ inline void run_backend(Backend b, int nranks,
     case Backend::kThread:
       run_ranks(nranks, fn, opts);
       return;
-    case Backend::kSocket: {
-      SocketRunOptions ro;
-      ro.comm = guard();
-      ro.wall_timeout = 90.0;
-      run_ranks_sockets(
-          nranks,
-          [&fn](Communicator& c) {
-            fn(c);
-            if (::testing::Test::HasFailure())
-              throw std::runtime_error(
-                  "gtest assertion failed in this rank (see messages above)");
-          },
-          ro);
+    case Backend::kFork:
+      run_ranks_shm_forked(nranks, in_rank, ro);
       return;
-    }
-    case Backend::kShm: {
-      ShmRunOptions ro;
-      ro.comm = guard();
-      run_ranks_shm(
-          nranks,
-          [&fn](Communicator& c) {
-            fn(c);
-            if (::testing::Test::HasFailure())
-              throw std::runtime_error(
-                  "gtest assertion failed in this rank (see messages above)");
-          },
-          ro);
+    case Backend::kShm:
+      run_ranks_shm(nranks, in_rank, ro);
       return;
-    }
   }
 }
 
