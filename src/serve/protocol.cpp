@@ -34,7 +34,7 @@ void Fd::reset() {
 }
 
 Fd unix_listen(const std::string& path, int backlog) {
-  Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+  Fd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!fd.valid()) fail("socket");
   const sockaddr_un addr = make_addr(path);
   ::unlink(path.c_str());
@@ -47,7 +47,7 @@ Fd unix_listen(const std::string& path, int backlog) {
 
 Fd unix_accept(const Fd& listener) {
   while (true) {
-    const int c = ::accept(listener.get(), nullptr, nullptr);
+    const int c = ::accept4(listener.get(), nullptr, nullptr, SOCK_CLOEXEC);
     if (c >= 0) return Fd(c);
     if (errno == EINTR) continue;
     // shutdown() on the listening socket makes accept fail with EINVAL
@@ -66,7 +66,7 @@ Fd unix_connect(const std::string& path, double timeout_seconds) {
                         std::chrono::duration<double>(timeout_seconds);
   const sockaddr_un addr = make_addr(path);
   while (true) {
-    Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+    Fd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!fd.valid()) fail("socket");
     if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) == 0)

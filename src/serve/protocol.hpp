@@ -9,7 +9,9 @@
 ///
 /// The helpers here are deliberately minimal: RAII around the fd, a
 /// listener/connector pair, and a buffered line channel. Everything
-/// policy-shaped lives in server.hpp.
+/// policy-shaped lives in server.hpp. Every socket made here is
+/// close-on-exec, so the workers the daemon launches never inherit its
+/// control listener or a tenant's connection.
 
 #include <stdexcept>
 #include <string>

@@ -1,15 +1,12 @@
 #include "transport/fork_harness.hpp"
 
-#include <signal.h>
-#include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <sstream>
-#include <thread>
-#include <vector>
 
+#include "transport/child_set.hpp"
 #include "transport/fdio.hpp"
 
 namespace slipflow::transport {
@@ -18,33 +15,16 @@ void run_ranks_forked(int nranks, const std::function<void(int rank)>& body,
                       const ForkRunOptions& opts) {
   SLIPFLOW_REQUIRE(nranks >= 1);
   SLIPFLOW_REQUIRE(body != nullptr);
-  using fdio::mono_now;
-  using fdio::throw_errno;
-
-  struct Child {
-    pid_t pid = -1;
-    int err_fd = -1;
-    bool done = false;
-    int status = 0;
-    std::string err;
-  };
-  std::vector<Child> children(static_cast<std::size_t>(nranks));
 
   // Parent-side buffered stdio must not leak duplicated output into the
   // children.
   std::fflush(stdout);
   std::fflush(stderr);
 
+  ChildSet children;
   for (int r = 0; r < nranks; ++r) {
-    int pipefd[2];
-    if (::pipe(pipefd) < 0) throw_errno("pipe");
-    const pid_t pid = ::fork();
-    if (pid < 0) throw_errno("fork");
-    if (pid == 0) {
-      // --- child: run the rank, report failure via exit code + stderr.
-      ::close(pipefd[0]);
-      ::dup2(pipefd[1], 2);
-      ::close(pipefd[1]);
+    // --- child: run the rank, report failure via exit code + stderr.
+    children.spawn([&body, r] {
       int code = 0;
       try {
         body(r);
@@ -57,68 +37,28 @@ void run_ranks_forked(int nranks, const std::function<void(int rank)>& body,
       }
       std::fflush(nullptr);
       ::_exit(code);
-    }
-    ::close(pipefd[1]);
-    fdio::set_nonblocking(pipefd[0]);
-    children[static_cast<std::size_t>(r)] = Child{pid, pipefd[0], false, 0, {}};
+    });
   }
 
-  const double deadline = mono_now() + opts.wall_timeout;
+  const double deadline = fdio::mono_now() + opts.wall_timeout;
   bool timed_out = false;
-  auto drain_err = [&children] {
-    char buf[4096];
-    for (Child& c : children) {
-      if (c.err_fd < 0) continue;
-      for (;;) {
-        const ssize_t n = ::read(c.err_fd, buf, sizeof(buf));
-        if (n > 0) {
-          c.err.append(buf, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n == 0) {
-          ::close(c.err_fd);
-          c.err_fd = -1;
-        }
-        break;
-      }
-    }
-  };
-
-  int running = nranks;
-  while (running > 0) {
-    drain_err();
-    for (Child& c : children) {
-      if (c.done) continue;
-      int status = 0;
-      const pid_t w = ::waitpid(c.pid, &status, WNOHANG);
-      if (w == c.pid) {
-        c.done = true;
-        c.status = status;
-        --running;
-      }
-    }
-    if (running == 0) break;
-    if (mono_now() >= deadline) {
+  while (children.running() > 0) {
+    const double left = deadline - fdio::mono_now();
+    if (left <= 0.0) {
       timed_out = true;
-      for (Child& c : children)
-        if (!c.done) ::kill(c.pid, SIGKILL);
-      for (Child& c : children) {
-        if (c.done) continue;
-        ::waitpid(c.pid, &c.status, 0);
-        c.done = true;
-      }
+      children.kill_all();
       break;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    children.wait({}, left);
+    children.drain_stderr();
+    children.reap();
   }
-  drain_err();
-  for (Child& c : children)
-    if (c.err_fd >= 0) ::close(c.err_fd);
+  children.drain_stderr();
 
   std::ostringstream diag;
   bool failed = timed_out;
   for (int r = 0; r < nranks; ++r) {
-    const Child& c = children[static_cast<std::size_t>(r)];
+    const Child& c = children[r];
     if (WIFSIGNALED(c.status))
       diag << "rank " << r << " killed by signal " << WTERMSIG(c.status)
            << "\n";
@@ -131,8 +71,8 @@ void run_ranks_forked(int nranks, const std::function<void(int rank)>& body,
   }
   if (!failed) return;
   for (int r = 0; r < nranks; ++r) {
-    const Child& c = children[static_cast<std::size_t>(r)];
-    if (!c.err.empty()) diag << c.err;
+    const std::string& err = children[r].err;
+    if (!err.empty()) diag << err;
   }
   if (timed_out)
     throw comm_timeout(opts.who + ": wall timeout after " +

@@ -2,10 +2,10 @@
 /// \file fork_harness.hpp
 /// Generic forked rank harness behind run_ranks_shm_forked: forks
 /// `nranks` children (no exec), each running a caller-supplied body for
-/// its rank. The parent supervises
-/// with a wall-clock watchdog, captures each child's stderr, and throws
-/// on any child failure or on timeout with the collected per-rank
-/// diagnostics. For true fresh-address-space workers use
+/// its rank. The parent waits on the children's pidfds and stderr pipes
+/// (transport/child_set.hpp) under a wall-clock watchdog, captures each
+/// child's stderr, and throws on any child failure or on timeout with
+/// the collected per-rank diagnostics. For true fresh-address-space workers use
 /// transport::launch_workers with the slipflow_worker binary instead.
 
 #include <functional>

@@ -1,10 +1,10 @@
 #include "transport/launcher.hpp"
 
-#include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -12,8 +12,8 @@
 #include <cstring>
 #include <filesystem>
 #include <sstream>
-#include <thread>
 
+#include "transport/child_set.hpp"
 #include "transport/fdio.hpp"
 #include "transport/frame.hpp"
 #include "transport/shm_comm.hpp"
@@ -24,27 +24,24 @@ namespace slipflow::transport {
 
 using fdio::mono_now;
 using fdio::set_nonblocking;
-using fdio::throw_errno;
 
 namespace {
 
-/// One accepted (but not yet rank-identified) or identified heartbeat
-/// connection. Heartbeat frames are parsed with the shared frame codec.
+/// One accepted heartbeat connection. Heartbeat frames are parsed with
+/// the shared frame codec; each names its sender rank.
 struct HbConn {
   int fd = -1;
-  int rank = -1;  ///< -1 until the first beat identifies the sender
   std::vector<std::byte> buf;
 };
 
-struct Worker {
-  pid_t pid = -1;
-  int err_fd = -1;
-  bool done = false;
-  int status = 0;
-  std::string err;
-  double last_beat = -1.0;
-  long long last_phase = -1;
+/// Heartbeat state per rank; process state lives in the ChildSet.
+struct Beat {
+  double last = -1.0;
+  long long phase = -1;
 };
+
+/// Supervisor wake-up cadence while LaunchConfig::on_tick is set.
+constexpr double kTickSeconds = 0.05;
 
 }  // namespace
 
@@ -82,7 +79,7 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
   set_nonblocking(listener);
 
   const double t0 = mono_now();
-  std::vector<Worker> workers(static_cast<std::size_t>(cfg.ranks));
+  std::vector<Beat> beats(static_cast<std::size_t>(cfg.ranks));
   std::vector<HbConn> conns;
 
   // One session tag per launch: stale ring segments left in a reused dir
@@ -96,6 +93,7 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
 
   std::fflush(stdout);
   std::fflush(stderr);
+  ChildSet workers;
   for (int r = 0; r < cfg.ranks; ++r) {
     std::vector<std::string> argv_s = cfg.worker_command;
     argv_s.push_back("--rank=" + std::to_string(r));
@@ -111,27 +109,16 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
     if (const auto it = cfg.extra_args.find(r); it != cfg.extra_args.end())
       for (const std::string& a : it->second) argv_s.push_back(a);
 
-    int pipefd[2];
-    if (::pipe(pipefd) < 0) throw_errno("pipe");
-    const pid_t pid = ::fork();
-    if (pid < 0) throw_errno("fork");
-    if (pid == 0) {
-      ::close(pipefd[0]);
-      ::dup2(pipefd[1], 2);
-      ::close(pipefd[1]);
-      std::vector<char*> argv;
-      argv.reserve(argv_s.size() + 1);
-      for (std::string& s : argv_s) argv.push_back(s.data());
-      argv.push_back(nullptr);
+    std::vector<char*> argv;
+    argv.reserve(argv_s.size() + 1);
+    for (std::string& s : argv_s) argv.push_back(s.data());
+    argv.push_back(nullptr);
+    workers.spawn([&argv, r] {
       ::execv(argv[0], argv.data());
       std::fprintf(stderr, "rank %d: exec %s failed: %s\n", r, argv[0],
                    std::strerror(errno));
       ::_exit(127);
-    }
-    ::close(pipefd[1]);
-    set_nonblocking(pipefd[0]);
-    workers[static_cast<std::size_t>(r)].pid = pid;
-    workers[static_cast<std::size_t>(r)].err_fd = pipefd[0];
+    });
   }
 
   LaunchResult result;
@@ -143,35 +130,15 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
     result.diagnostic = why;
   };
 
-  auto drain_stderr = [&] {
-    char buf[4096];
-    for (Worker& w : workers) {
-      if (w.err_fd < 0) continue;
-      for (;;) {
-        const ssize_t n = ::read(w.err_fd, buf, sizeof(buf));
-        if (n > 0) {
-          w.err.append(buf, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n == 0) {
-          ::close(w.err_fd);
-          w.err_fd = -1;
-        }
-        break;
-      }
-    }
-  };
-
   auto pump_heartbeats = [&] {
     for (;;) {
-      const int fd = ::accept(listener, nullptr, nullptr);
+      const int fd = ::accept4(listener, nullptr, nullptr,
+                               SOCK_CLOEXEC | SOCK_NONBLOCK);
       if (fd < 0) break;
-      set_nonblocking(fd);
-      conns.push_back(HbConn{fd, -1, {}});
+      conns.push_back(HbConn{fd, {}});
     }
     char buf[4096];
     for (HbConn& c : conns) {
-      if (c.fd < 0) continue;
       for (;;) {
         const ssize_t n = ::read(c.fd, buf, sizeof(buf));
         if (n > 0) {
@@ -192,7 +159,7 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
           h = decode_frame_header(
               std::span<const std::byte>(c.buf).subspan(off));
         } catch (const comm_error&) {
-          ::close(c.fd);
+          if (c.fd >= 0) ::close(c.fd);
           c.fd = -1;
           break;
         }
@@ -202,16 +169,15 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
         if (c.buf.size() - off < need) break;
         if (h.kind == FrameKind::kHeartbeat && h.src >= 0 &&
             h.src < cfg.ranks) {
-          c.rank = h.src;
-          Worker& w = workers[static_cast<std::size_t>(h.src)];
-          w.last_beat = mono_now();
+          Beat& b = beats[static_cast<std::size_t>(h.src)];
+          b.last = mono_now();
           if (h.count >= 1) {
             double phase = 0.0;
             std::memcpy(&phase, c.buf.data() + off + kFrameHeaderBytes,
                         sizeof(double));
             const long long p = static_cast<long long>(phase);
-            if (p != w.last_phase && cfg.on_progress) cfg.on_progress(h.src, p);
-            w.last_phase = p;
+            if (p != b.phase && cfg.on_progress) cfg.on_progress(h.src, p);
+            b.phase = p;
           }
         }
         off += need;
@@ -220,59 +186,64 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
         c.buf.erase(c.buf.begin(),
                     c.buf.begin() + static_cast<std::ptrdiff_t>(off));
     }
+    // A closed connection has nothing more to say: drop it from the
+    // wait set.
+    std::erase_if(conns, [](const HbConn& c) { return c.fd < 0; });
   };
 
-  auto kill_all = [&] {
-    for (Worker& w : workers) {
-      if (w.done) continue;
-      ::kill(w.pid, SIGCONT);  // a SIGSTOPped worker ignores SIGKILL queueing
-      ::kill(w.pid, SIGKILL);
-    }
-    for (Worker& w : workers) {
-      if (w.done) continue;
-      ::waitpid(w.pid, &w.status, 0);
-      w.done = true;
-    }
+  // A rank that has not beaten yet is timed from the launch.
+  auto last_beat = [&](int r) {
+    const Beat& b = beats[static_cast<std::size_t>(r)];
+    return b.last >= 0.0 ? b.last : t0;
   };
 
   const double deadline = t0 + cfg.wall_clock_timeout;
-  int running = cfg.ranks;
+  std::vector<int> wake_fds;
   bool failed = false;
-  while (running > 0 && !failed) {
+  while (workers.running() > 0 && !failed) {
+    // Sleep until an event (an exit, worker stderr, a heartbeat, a new
+    // monitor connection) or the nearest deadline.
+    double wake_at = deadline;
+    if (cfg.heartbeat_grace > 0.0)
+      for (int r = 0; r < cfg.ranks; ++r)
+        if (!workers[r].done)
+          wake_at = std::min(wake_at, last_beat(r) + cfg.heartbeat_grace);
+    double timeout = wake_at - mono_now();
+    if (cfg.on_tick) timeout = std::min(timeout, kTickSeconds);
+    wake_fds.assign(1, listener);
+    for (const HbConn& c : conns) wake_fds.push_back(c.fd);
+    workers.wait(wake_fds, timeout);
+    ++result.wakeups;
+
     pump_heartbeats();
-    drain_stderr();
+    workers.drain_stderr();
     if (cfg.on_tick) cfg.on_tick();
 
-    // Reap exits. When several workers die in one tick, blame the one
-    // that was signalled — the injected fault — not the peers that then
-    // failed with transport errors.
+    // Reap exits. When several workers are reaped in one pass, blame the
+    // one that was signalled — the injected fault — not the peers that
+    // then failed with transport errors.
     int first_signaled = -1, first_nonzero = -1;
-    for (int r = 0; r < cfg.ranks; ++r) {
-      Worker& w = workers[static_cast<std::size_t>(r)];
-      if (w.done) continue;
-      int status = 0;
-      const pid_t got = ::waitpid(w.pid, &status, WNOHANG);
-      if (got != w.pid) continue;
-      w.done = true;
-      w.status = status;
-      --running;
+    for (const int r : workers.reap()) {
+      const int status = workers[r].status;
       if (WIFSIGNALED(status) && first_signaled < 0) first_signaled = r;
       if (WIFEXITED(status) && WEXITSTATUS(status) != 0 && first_nonzero < 0)
         first_nonzero = r;
     }
     if (first_signaled >= 0) {
-      const Worker& w = workers[static_cast<std::size_t>(first_signaled)];
-      fail(first_signaled,
-           "rank " + std::to_string(first_signaled) + " killed by signal " +
-               std::to_string(WTERMSIG(w.status)) +
-               " (last reported phase " + std::to_string(w.last_phase) + ")");
+      const int r = first_signaled;
+      fail(r, "rank " + std::to_string(r) + " killed by signal " +
+                  std::to_string(WTERMSIG(workers[r].status)) +
+                  " (last reported phase " +
+                  std::to_string(beats[static_cast<std::size_t>(r)].phase) +
+                  ")");
       failed = true;
     } else if (first_nonzero >= 0) {
-      const Worker& w = workers[static_cast<std::size_t>(first_nonzero)];
-      fail(first_nonzero,
-           "rank " + std::to_string(first_nonzero) + " exited with code " +
-               std::to_string(WEXITSTATUS(w.status)) +
-               " (last reported phase " + std::to_string(w.last_phase) + ")");
+      const int r = first_nonzero;
+      fail(r, "rank " + std::to_string(r) + " exited with code " +
+                  std::to_string(WEXITSTATUS(workers[r].status)) +
+                  " (last reported phase " +
+                  std::to_string(beats[static_cast<std::size_t>(r)].phase) +
+                  ")");
       failed = true;
     }
     if (failed) break;
@@ -280,17 +251,14 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
     if (cfg.heartbeat_grace > 0.0) {
       const double now = mono_now();
       for (int r = 0; r < cfg.ranks; ++r) {
-        const Worker& w = workers[static_cast<std::size_t>(r)];
-        if (w.done) continue;
-        const double since =
-            w.last_beat >= 0.0 ? now - w.last_beat : now - t0;
-        if (since > cfg.heartbeat_grace) {
-          fail(r, "rank " + std::to_string(r) + " heartbeat silent for " +
-                      std::to_string(since) + "s (last reported phase " +
-                      std::to_string(w.last_phase) + ")");
-          failed = true;
-          break;
-        }
+        const double since = now - last_beat(r);
+        if (workers[r].done || since <= cfg.heartbeat_grace) continue;
+        fail(r, "rank " + std::to_string(r) + " heartbeat silent for " +
+                    std::to_string(since) + "s (last reported phase " +
+                    std::to_string(beats[static_cast<std::size_t>(r)].phase) +
+                    ")");
+        failed = true;
+        break;
       }
     }
     if (failed) break;
@@ -300,23 +268,16 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
       os << "wall-clock timeout after " << cfg.wall_clock_timeout
          << "s; per-rank last phases:";
       for (int r = 0; r < cfg.ranks; ++r)
-        os << " rank" << r << "="
-           << workers[static_cast<std::size_t>(r)].last_phase;
+        os << " rank" << r << "=" << beats[static_cast<std::size_t>(r)].phase;
       fail(-1, os.str());
       failed = true;
-      break;
     }
-    if (running > 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
-  if (failed) kill_all();
+  if (failed) workers.kill_all();
   pump_heartbeats();
-  drain_stderr();
-  for (Worker& w : workers)
-    if (w.err_fd >= 0) ::close(w.err_fd);
-  for (HbConn& c : conns)
-    if (c.fd >= 0) ::close(c.fd);
+  workers.drain_stderr();
+  for (const HbConn& c : conns) ::close(c.fd);
   ::close(listener);
   ::unlink(monitor_path.c_str());
   if (own_dir) {
@@ -327,19 +288,19 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
   result.elapsed_seconds = mono_now() - t0;
   for (int r = 0; r < cfg.ranks; ++r)
     result.last_phase[static_cast<std::size_t>(r)] =
-        workers[static_cast<std::size_t>(r)].last_phase;
+        beats[static_cast<std::size_t>(r)].phase;
   if (!failed) {
-    // The loop above can exit with running == 0 but a straggler having
-    // exited nonzero in the very last reap — recheck all statuses.
+    // The loop above can exit with every worker reaped but a straggler
+    // having exited nonzero in the very last reap — recheck all statuses.
     for (int r = 0; r < cfg.ranks; ++r) {
-      const Worker& w = workers[static_cast<std::size_t>(r)];
-      if (WIFSIGNALED(w.status)) {
+      const int status = workers[r].status;
+      if (WIFSIGNALED(status)) {
         fail(r, "rank " + std::to_string(r) + " killed by signal " +
-                    std::to_string(WTERMSIG(w.status)));
+                    std::to_string(WTERMSIG(status)));
         failed = true;
-      } else if (WIFEXITED(w.status) && WEXITSTATUS(w.status) != 0) {
+      } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
         fail(r, "rank " + std::to_string(r) + " exited with code " +
-                    std::to_string(WEXITSTATUS(w.status)));
+                    std::to_string(WEXITSTATUS(status)));
         failed = true;
       }
     }
@@ -349,7 +310,7 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
     std::ostringstream os;
     os << result.diagnostic;
     for (int r = 0; r < cfg.ranks; ++r) {
-      const std::string& e = workers[static_cast<std::size_t>(r)].err;
+      const std::string& e = workers[r].err;
       if (!e.empty()) os << "\n--- rank " << r << " stderr ---\n" << e;
     }
     result.diagnostic = os.str();

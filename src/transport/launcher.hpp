@@ -14,8 +14,17 @@
 ///     run naming the stalled rank and its last reported phase;
 ///   - a run that stops making progress collectively is bounded by
 ///     `wall_clock_timeout`.
-/// On any failure every surviving worker is SIGKILLed before returning,
-/// so a failed launch never leaks processes.
+/// On any failure every surviving worker is SIGCONTed and SIGKILLed
+/// before returning, so a failed launch never leaks processes.
+///
+/// The supervisor does not tick: it sleeps in one poll() over the
+/// monitor listener, every heartbeat connection, every worker's stderr
+/// pipe and one pidfd per worker (transport/child_set.hpp). Its timeout
+/// is the nearest deadline — the wall-clock limit, the earliest
+/// heartbeat-grace expiry and, only while `on_tick` is set, 50 ms — so a
+/// launch returns as soon as its last worker exits. Worker stderr pipes
+/// and heartbeat connections are close-on-exec, so workers of
+/// concurrent launches never inherit each other's descriptors.
 
 #include <functional>
 #include <map>
@@ -53,9 +62,10 @@ struct LaunchConfig {
   /// not block; the campaign server uses it to stream job progress to
   /// the submitting client while launch_workers is still running.
   std::function<void(int rank, long long phase)> on_progress;
-  /// Called once per supervision tick (every ~50 ms) while the run is
-  /// alive — the hook for polling job side channels (result fragment
-  /// directories) the launcher itself knows nothing about.
+  /// Called at every supervisor wake-up, at least every 50 ms while set,
+  /// as long as the run is alive — the hook for polling job side
+  /// channels (result fragment directories) the launcher itself knows
+  /// nothing about.
   std::function<void()> on_tick;
 };
 
@@ -68,6 +78,9 @@ struct LaunchResult {
   double elapsed_seconds = 0.0;
   /// Last phase each rank reported via heartbeat (-1 = never beat).
   std::vector<long long> last_phase;
+  /// Times the supervisor woke from its poll(): one per batch of events
+  /// or expired deadline, so tests can count wake-ups instead of timing.
+  int wakeups = 0;
 };
 
 /// Run the workers to completion (all exit 0) or to the first failure.

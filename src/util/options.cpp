@@ -13,7 +13,9 @@ Options Options::parse(int argc, const char* const* argv) {
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
       if (eq == std::string::npos) {
-        o.kv_[arg.substr(2)] = "1";
+        // Move-assigned: assigning the literal into the fresh map slot
+        // trips a gcc 12 -Wrestrict false positive in char_traits::copy.
+        o.kv_[arg.substr(2)] = std::string("1");
       } else {
         o.kv_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }

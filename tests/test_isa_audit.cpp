@@ -5,10 +5,15 @@
 // something.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "isa_audit/isa_audit.hpp"
+#include "util/json.hpp"
 #include "util/require.hpp"
 
 using namespace slipflow;
@@ -297,4 +302,62 @@ TEST(Audit, JsonReportCarriesCountsAndViolations) {
   // deterministic output: same inputs, same bytes
   EXPECT_EQ(json, audit_report_json({bad, good}, AuditMode::strict,
                                     "tools/isa_policy.conf"));
+}
+
+// ---------------------------------------------------------------------------
+// build graph
+
+namespace {
+
+void touch(const std::filesystem::path& p) {
+  std::filesystem::create_directories(p.parent_path());
+  std::ofstream(p) << "";
+}
+
+}  // namespace
+
+// The audit covers the objects of the current build graph only: an
+// object left on disk by a TU that was deleted since the last configure
+// (here transport/socket_comm.cpp.o) is in no compile command and must
+// not feed the verdict.
+TEST(BuildGraph, StaleObjectOutsideTheGraphIsIgnored) {
+  namespace fs = std::filesystem;
+  const fs::path build = fs::path(::testing::TempDir()) /
+                         ("isa_graph." + std::to_string(::getpid()));
+  fs::remove_all(build);
+  touch(build / "src/lbm/CMakeFiles/slipflow_lbm.dir/kernels.cpp.o");
+  touch(build /
+        "src/transport/CMakeFiles/slipflow_transport.dir/socket_comm.cpp.o");
+  touch(build / "tests/CMakeFiles/test_x.dir/test_x.cpp.o");
+  const std::string b = build.string();
+  std::ofstream(build / "compile_commands.json")
+      << "[\n"
+         "{\"directory\": " << util::json_string(b + "/src/lbm") << ",\n"
+         " \"command\": \"/usr/bin/c++ -O3 -o "
+         "CMakeFiles/slipflow_lbm.dir/kernels.cpp.o -c /s/src/lbm/kernels.cpp\",\n"
+         " \"file\": \"/s/src/lbm/kernels.cpp\"},\n"
+         "{\"directory\": " << util::json_string(b + "/src/sim") << ",\n"
+         " \"arguments\": [\"c++\", \"-o\", "
+         "\"CMakeFiles/slipflow_sim.dir/runner.cpp.o\", \"-c\", "
+         "\"/s/src/sim/runner.cpp\"],\n"
+         " \"file\": \"/s/src/sim/runner.cpp\"},\n"
+         "{\"directory\": " << util::json_string(b + "/tests") << ",\n"
+         " \"command\": \"/usr/bin/c++ -o CMakeFiles/test_x.dir/test_x.cpp.o "
+         "-c /s/tests/test_x.cpp\",\n"
+         " \"file\": \"/s/tests/test_x.cpp\"}\n"
+         "]\n";
+
+  const BuildObjects graph = build_graph_objects(b);
+  ASSERT_EQ(graph.objects.size(), 1u);
+  EXPECT_EQ(graph.objects[0].tu, "lbm/kernels.cpp.o");
+  EXPECT_TRUE(fs::equivalent(
+      graph.objects[0].path,
+      build / "src/lbm/CMakeFiles/slipflow_lbm.dir/kernels.cpp.o"));
+  EXPECT_EQ(graph.unbuilt, 1u) << "sim/runner.cpp.o is listed but not built";
+  fs::remove_all(build);
+}
+
+TEST(BuildGraph, UnconfiguredBuildDirIsAnError) {
+  EXPECT_THROW(build_graph_objects(::testing::TempDir() + "no_such_build"),
+               contract_error);
 }

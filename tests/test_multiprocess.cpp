@@ -167,6 +167,23 @@ TEST(MultiProcess, FrozenRankIsCaughtByHeartbeatSilence) {
   EXPECT_LT(res.elapsed_seconds, 30.0);
 }
 
+// The supervisor sleeps until something happens instead of ticking:
+// ranks that exit together cost about one wake-up per exit and one per
+// stderr EOF. A 50 ms tick would wake ~7 times over the 0.3 s run.
+TEST(MultiProcess, SupervisorWakesOnEventsNotOnATick) {
+  constexpr int kWorkers = 2;
+  transport::LaunchConfig lc;
+  lc.ranks = kWorkers;
+  lc.worker_command = {"/bin/sh", "-c", "sleep 0.3"};
+  lc.heartbeat_grace = 0.0;  // /bin/sh never beats
+  lc.wall_clock_timeout = 20.0;
+  const transport::LaunchResult res = transport::launch_workers(lc);
+  ASSERT_TRUE(res.ok) << res.diagnostic;
+  EXPECT_GE(res.wakeups, 1);
+  EXPECT_LE(res.wakeups, 2 * kWorkers + 2)
+      << "elapsed " << res.elapsed_seconds << " s";
+}
+
 TEST(MultiProcess, UnusableRingDirFailsBeforeForking) {
   // Every worker maps its rings under the launch directory, so one that
   // cannot host them must fail the launch up front — naming the

@@ -13,6 +13,7 @@
 //   * a warm-cache hit provably skips the equilibration prefix
 //     (phases_executed == phases - warm_phases) across rank counts.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -561,4 +563,81 @@ TEST(ServeE2E, WarmCacheHitSkipsEquilibration) {
   EXPECT_EQ(st.int_or("cache_hits", -1), 1);
   EXPECT_EQ(st.int_or("cache_misses", -1), 1);
   server.stop();
+}
+
+// Every descriptor a worker could inherit is close-on-exec. A worker
+// exec'ed while another launch supervises heartbeating workers and while
+// a tenant connection to the daemon is open must see only its stdio —
+// no control listener, no tenant socket (either end), no other launch's
+// stderr pipe or heartbeat connection.
+TEST(ServeE2E, WorkersInheritOnlyStdio) {
+  // What the test runner itself handed this process without
+  // close-on-exec is not ours to judge.
+  std::set<int> inherited;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/fd")) {
+    const int fd = std::stoi(e.path().filename().string());
+    const int flags = ::fcntl(fd, F_GETFD);
+    if (fd > 2 && flags >= 0 && (flags & FD_CLOEXEC) == 0) inherited.insert(fd);
+  }
+
+  const std::string dir = temp_dir("cloexec");
+  serve::CampaignServer::Config cfg;
+  cfg.socket_path = socket_path("cloexec");
+  cfg.work_dir = dir;
+  cfg.worker_exe = SLIPFLOW_WORKER_EXE;
+  serve::CampaignServer server(cfg);
+  server.start();
+  // The daemon accepts in arrival order: once a later stats round trip
+  // returns, the tenant connection is accepted too.
+  const serve::Fd tenant = serve::unix_connect(cfg.socket_path);
+  serve::Client(cfg.socket_path).stats();
+
+  JobSpec spec = small_spec();
+  spec.phases = 2000;
+  spec.heartbeat_interval = 0.02;
+  serve::JobPaths paths;
+  paths.observables_out = dir + "/obs.txt";
+  transport::LaunchConfig outer =
+      serve::make_launch_config(spec, SLIPFLOW_WORKER_EXE, paths);
+  const std::string listing = dir + "/fds.txt";
+  bool listed = false;
+  // A reported phase means the outer launch holds an accepted heartbeat
+  // connection; list the fds of a worker launched right then.
+  outer.on_progress = [&](int, long long) {
+    if (listed) return;
+    listed = true;
+    transport::LaunchConfig inner;
+    inner.ranks = 1;
+    inner.worker_command = {"/bin/sh", "-c",
+                            "exec ls -l /proc/self/fd > \"$0\"", listing};
+    inner.heartbeat_grace = 0.0;
+    inner.wall_clock_timeout = 20.0;
+    const transport::LaunchResult res = transport::launch_workers(inner);
+    EXPECT_TRUE(res.ok) << res.diagnostic;
+  };
+  const transport::LaunchResult res = transport::launch_workers(outer);
+  ASSERT_TRUE(res.ok) << res.diagnostic;
+  ASSERT_TRUE(listed) << "the outer job never reported a phase";
+  server.stop();
+
+  // "lr-x------ 1 u g 64 Oct 20 09:00 3 -> /proc/4242/fd": ls's own
+  // directory fd is the only descriptor allowed beyond 0-2.
+  std::ifstream in(listing);
+  ASSERT_TRUE(in.good()) << "missing " << listing;
+  std::string line, leaked;
+  int entries = 0;
+  while (std::getline(in, line)) {
+    const std::size_t arrow = line.find(" -> ");
+    if (arrow == std::string::npos) continue;
+    ++entries;
+    const std::size_t sp = line.rfind(' ', arrow - 1);
+    const int fd = std::stoi(line.substr(sp + 1, arrow - sp - 1));
+    const std::string target = line.substr(arrow + 4);
+    const bool own_listing =
+        target.starts_with("/proc/") && target.ends_with("/fd");
+    if (fd > 2 && !own_listing && inherited.count(fd) == 0)
+      leaked += line + "\n";
+  }
+  EXPECT_GE(entries, 3) << "unparsed listing in " << listing;
+  EXPECT_TRUE(leaked.empty()) << "worker inherited:\n" << leaked;
 }

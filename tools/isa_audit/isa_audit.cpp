@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <istream>
 #include <sstream>
 
@@ -376,6 +378,73 @@ TuAudit audit_listing(std::string_view tu, std::istream& listing,
     }
   }
   return audit;
+}
+
+namespace {
+
+/// The object file one compile_commands.json entry writes, or "".
+std::string compile_output(const util::JsonValue& entry) {
+  if (const util::JsonValue* out = entry.find("output"))
+    return out->as_string();
+  std::vector<std::string> args;
+  if (const util::JsonValue* a = entry.find("arguments")) {
+    for (const util::JsonValue& v : a->as_array())
+      args.push_back(v.as_string());
+  } else if (const util::JsonValue* c = entry.find("command")) {
+    std::istringstream in(c->as_string());
+    for (std::string tok; in >> std::quoted(tok);) args.push_back(tok);
+  }
+  for (std::size_t i = 0; i + 1 < args.size(); ++i)
+    if (args[i] == "-o") return args[i + 1];
+  return {};
+}
+
+/// "lbm/CMakeFiles/slipflow_lbm.dir/kernels_tile_avx2.cpp.o"
+///   -> "lbm/kernels_tile_avx2.cpp.o"
+std::string tu_id(const std::filesystem::path& rel_to_src) {
+  std::string id;
+  for (const auto& comp : rel_to_src) {
+    const std::string s = comp.string();
+    if (s == "CMakeFiles" || (s.size() > 4 && s.ends_with(".dir"))) continue;
+    if (!id.empty()) id += '/';
+    id += s;
+  }
+  return id;
+}
+
+}  // namespace
+
+BuildObjects build_graph_objects(const std::string& build_dir) {
+  namespace fs = std::filesystem;
+  const fs::path db_path = fs::path(build_dir) / "compile_commands.json";
+  std::ifstream db(db_path);
+  SLIPFLOW_REQUIRE_MSG(db.good(), "no " << db_path.string()
+                                        << " (is --build-dir a configured "
+                                           "build?)");
+  std::ostringstream text;
+  text << db.rdbuf();
+  const fs::path src = fs::weakly_canonical(fs::path(build_dir) / "src");
+
+  const util::JsonValue commands = util::json_parse(text.str());
+  BuildObjects found;
+  for (const util::JsonValue& entry : commands.as_array()) {
+    const std::string out = compile_output(entry);
+    if (out.empty()) continue;
+    const fs::path obj = fs::weakly_canonical(
+        fs::path(entry.string_or("directory", build_dir)) / out);
+    const fs::path rel = obj.lexically_relative(src);
+    if (rel.empty() || *rel.begin() == "..") continue;
+    if (!fs::is_regular_file(obj)) {
+      ++found.unbuilt;
+      continue;
+    }
+    found.objects.push_back(BuildObject{obj.string(), tu_id(rel)});
+  }
+  std::sort(found.objects.begin(), found.objects.end(),
+            [](const BuildObject& a, const BuildObject& b) {
+              return a.path < b.path;
+            });
+  return found;
 }
 
 std::string audit_report_json(const std::vector<TuAudit>& audits,

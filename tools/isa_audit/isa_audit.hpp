@@ -15,8 +15,8 @@
 ///
 /// The core is a library (no process spawning, pure text in / report
 /// out) so tests can feed it synthetic listings with planted
-/// violations; the CLI in main.cpp walks a CMake build tree and runs
-/// objdump itself.
+/// violations; the CLI in main.cpp takes the object files of a CMake
+/// build's compile graph (build_graph_objects) and runs objdump itself.
 
 #include <array>
 #include <cstddef>
@@ -125,6 +125,26 @@ struct TuAudit {
 };
 
 inline constexpr std::size_t kMaxViolationDetail = 20;
+
+/// One object file of the build graph.
+struct BuildObject {
+  std::string path;  ///< absolute
+  std::string tu;    ///< TU id, e.g. "lbm/kernels_tile_avx2.cpp.o"
+};
+
+struct BuildObjects {
+  std::vector<BuildObject> objects;  ///< sorted by path
+  std::size_t unbuilt = 0;  ///< in the graph but not on disk yet
+};
+
+/// The object files the build at `build_dir` compiles under its src/
+/// directory, read from its compile_commands.json: each entry's output
+/// (`output` member, else the `-o` operand of `arguments`/`command`),
+/// resolved against the entry's `directory`. An object left on disk by
+/// a deleted or renamed TU is in no compile command, so it is never
+/// returned. Throws slipflow::contract_error when the build has no
+/// compile_commands.json.
+BuildObjects build_graph_objects(const std::string& build_dir);
 
 /// Run the audit over one objdump listing.
 TuAudit audit_listing(std::string_view tu, std::istream& listing,

@@ -7,18 +7,18 @@
 ///   isa_audit --listing=fixture.txt --tu=lbm/kernels_plan.cpp.o
 ///             --policy=... [--mode=...]
 ///
-/// Build-dir mode walks every object file under <build>/src, derives
-/// the TU id (object path with the CMakeFiles/<target>.dir infix
-/// removed, e.g. "lbm/kernels_tile_avx2.cpp.o"), disassembles it with
-/// objdump and audits each instruction against the policy manifest.
+/// Build-dir mode takes the object files of the current build graph
+/// under <build>/src from <build>/compile_commands.json (a stale object
+/// of a deleted TU is not audited), derives the TU id (object path with
+/// the CMakeFiles/<target>.dir infix removed, e.g.
+/// "lbm/kernels_tile_avx2.cpp.o"), disassembles it with objdump and
+/// audits each instruction against the policy manifest.
 /// Listing mode audits one pre-captured listing — the fixture path the
 /// tests and the CI "the audit must be able to fail" step use.
 ///
 /// Exit status: 0 clean, 1 policy violations found, 2 usage/run error.
 
-#include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -29,7 +29,6 @@
 #include "util/options.hpp"
 #include "util/require.hpp"
 
-namespace fs = std::filesystem;
 using namespace slipflow;
 using namespace slipflow::tools;
 
@@ -48,24 +47,6 @@ std::string disassemble(const std::string& objdump, const std::string& path) {
   while ((n = std::fread(buf, 1, sizeof(buf), pipe.get())) > 0)
     out.append(buf, n);
   return out;
-}
-
-/// "src/lbm/CMakeFiles/slipflow_lbm.dir/kernels_tile_avx2.cpp.o"
-///   -> "lbm/kernels_tile_avx2.cpp.o"
-std::string tu_id(const fs::path& rel_to_src) {
-  std::vector<std::string> parts;
-  for (const auto& comp : rel_to_src) {
-    const std::string s = comp.string();
-    if (s == "CMakeFiles") continue;
-    if (s.size() > 4 && s.substr(s.size() - 4) == ".dir") continue;
-    parts.push_back(s);
-  }
-  std::string id;
-  for (const std::string& p : parts) {
-    if (!id.empty()) id += '/';
-    id += p;
-  }
-  return id;
 }
 
 int fail_usage(const char* msg) {
@@ -112,23 +93,18 @@ int main(int argc, char** argv) {
     } else {
       if (build_dir.empty())
         return fail_usage("need --build-dir=<dir> or --listing=<file>");
-      const fs::path src_objects = fs::path(build_dir) / "src";
-      SLIPFLOW_REQUIRE_MSG(fs::is_directory(src_objects),
-                           "no such directory: " << src_objects.string()
-                                                 << " (is --build-dir a "
-                                                    "configured build?)");
-      std::vector<fs::path> objects;
-      for (const auto& entry : fs::recursive_directory_iterator(src_objects))
-        if (entry.is_regular_file() && entry.path().extension() == ".o")
-          objects.push_back(entry.path());
-      std::sort(objects.begin(), objects.end());
-      SLIPFLOW_REQUIRE_MSG(!objects.empty(),
-                           "no object files under " << src_objects.string()
-                                                    << " — build first");
-      for (const fs::path& obj : objects) {
-        std::istringstream listing(disassemble(objdump, obj.string()));
-        audits.push_back(audit_listing(
-            tu_id(fs::relative(obj, src_objects)), listing, policy, mode));
+      const BuildObjects graph = build_graph_objects(build_dir);
+      SLIPFLOW_REQUIRE_MSG(!graph.objects.empty(),
+                           "no built object files of the build graph under "
+                               << build_dir << "/src — build first");
+      if (graph.unbuilt > 0)
+        std::fprintf(stderr,
+                     "isa_audit: %zu object(s) of the build graph not built "
+                     "yet; auditing the %zu that are\n",
+                     graph.unbuilt, graph.objects.size());
+      for (const BuildObject& obj : graph.objects) {
+        std::istringstream listing(disassemble(objdump, obj.path));
+        audits.push_back(audit_listing(obj.tu, listing, policy, mode));
       }
     }
 

@@ -5,7 +5,8 @@
 #                     [--skip-build] [--json-dir=DIR]
 #
 # Runs, in order:
-#   1. isa_audit          — disassembles every object under <build>/src and
+#   1. isa_audit          — disassembles every object of the build graph
+#                           (compile_commands.json) under <build>/src and
 #                           enforces tools/isa_policy.conf (per-TU ISA
 #                           ceilings + the no-FMA -ffp-contract=off contract).
 #   2. determinism_lint   — source lint over src/lbm src/sim src/transport
